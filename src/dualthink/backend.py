@@ -42,7 +42,6 @@ class ChatRequest:
     user_text: str
     temperature: float = 0.0
     max_tokens: int = 1024
-    stop: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
         if not self.user_text:
@@ -58,7 +57,6 @@ class Completion:
     text: str
     usage: TokenUsage
     model_id: str = ""
-    latency_ms: int = 0
     usage_estimated: bool = False
 
 
@@ -126,13 +124,10 @@ class HttpChatBackend:
             "temperature": request.temperature,
             "max_tokens": request.max_tokens,
         }
-        if request.stop:
-            payload["stop"] = list(request.stop)
         url = f"{self.endpoint}/chat/completions"
 
         last_error: Exception | None = None
         for attempt in range(1, self.retry.max_attempts + 1):
-            started = time.monotonic()
             try:
                 response = self._session.post(
                     url, json=payload, headers=self._headers(), timeout=self.timeout
@@ -157,8 +152,7 @@ class HttpChatBackend:
                 elif response.status_code >= 400:
                     raise BackendHTTPError(response.status_code, _body_snippet(response))
                 else:
-                    latency_ms = int((time.monotonic() - started) * 1000)
-                    return self._parse_response(request, response, latency_ms)
+                    return self._parse_response(request, response)
             if attempt < self.retry.max_attempts:
                 self._sleep(self.retry.delay(attempt))
         if isinstance(last_error, BackendTimeout):
@@ -167,9 +161,7 @@ class HttpChatBackend:
             f"gave up after {self.retry.max_attempts} attempts: {last_error}"
         )
 
-    def _parse_response(
-        self, request: ChatRequest, response: requests.Response, latency_ms: int
-    ) -> Completion:
+    def _parse_response(self, request: ChatRequest, response: requests.Response) -> Completion:
         try:
             data = response.json()
             text = data["choices"][0]["message"]["content"]
@@ -191,7 +183,6 @@ class HttpChatBackend:
             text=text,
             usage=TokenUsage(int(prompt_tokens), int(completion_tokens)),
             model_id=str(data.get("model", self.model)),
-            latency_ms=latency_ms,
             usage_estimated=estimated,
         )
 

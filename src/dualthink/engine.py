@@ -6,6 +6,10 @@ either accepts that answer or escalates to the deliberation pipeline
 of which can be ablated via the config's stage set. Deliberation also runs
 when the fast pass is disabled or ``force_system2`` is set.
 
+All eight agent calls are rows of one table, :data:`_STAGES`: each row says
+how to fill the agent's prompt from the outputs so far, how to parse the
+reply, and where the parsed outputs go. One call loop drives every row.
+
 Every backend call is recorded on the trace, including failed parse
 attempts; a stage that needed a retry therefore shows up once per attempt.
 """
@@ -72,13 +76,17 @@ class AnswerResult:
 
 
 @dataclass
-class _StageOutputs:
-    """Everything the deliberation stages have produced so far."""
+class _Run:
+    """One question in flight: its inputs, the stage outputs so far, every call."""
 
+    question: Question
+    config: PipelineConfig
+    steps: list[AgentStep] = field(default_factory=list)
+    system2_triggered: bool = False
     quick: QuickAnswer | None = None
     reflection: ReflectionVerdict | None = None
     plan: Plan | None = None
-    search_decisions: tuple[SearchDecision, ...] = ()
+    decisions: tuple[SearchDecision, ...] = ()
     docs_by_subquestion: dict[str, list[RetrievedDoc]] = field(default_factory=dict)
     insights: tuple[KeyInsight, ...] = ()
     hypotheses: tuple[Hypothesis, ...] = ()
@@ -96,26 +104,171 @@ class _StageOutputs:
                 seen.setdefault(doc.doc_id)
         return tuple(seen)
 
-
-class _TraceBuilder:
-    def __init__(self, question_id: str):
-        self.question_id = question_id
-        self.steps: list[AgentStep] = []
-
-    def record(self, step: AgentStep) -> None:
-        self.steps.append(step)
-
-    def finish(
-        self, system2_triggered: bool, final_answer: str, chosen_option: str | None
-    ) -> ReasoningTrace:
+    def trace(self, final_answer: str = "", chosen_option: str | None = None) -> ReasoningTrace:
         return ReasoningTrace(
-            question_id=self.question_id,
+            question_id=self.question.id,
             steps=tuple(self.steps),
-            system2_triggered=system2_triggered,
+            system2_triggered=self.system2_triggered,
             final_answer=final_answer,
             chosen_option=chosen_option,
             total_usage=sum_usage(step.usage for step in self.steps),
         )
+
+
+@dataclass(frozen=True)
+class _Stage:
+    """One agent call: its prompt values, its parser, and where results go.
+
+    ``parse`` returns the value for the one name in ``fields``, or a tuple
+    with one value per name when there are several; each is stored on the
+    :class:`_Run` under its name. The trace step's ``parsed`` is the value's
+    own fields when ``flat``, else a dict from each name to its value.
+    """
+
+    values: Callable[[_Run], dict[str, str]]
+    parse: Callable[[str, _Run], Any]
+    fields: tuple[str, ...]
+    flat: bool = False
+
+
+def _parse_quick(raw: str, run: _Run) -> QuickAnswer:
+    quick = parse_quick(raw)
+    if run.question.kind is QuestionKind.MCQ:
+        extract_choice(quick.final_answer, run.question.option_labels)
+    return quick
+
+
+def _planning_values(run: _Run) -> dict[str, str]:
+    prior = ""
+    if run.quick is not None:
+        parts = [_quick_summary(run.quick)]
+        if run.reflection is not None and run.reflection.rationale:
+            parts.append(f"Reflection: {run.reflection.rationale}")
+            if run.reflection.flagged_steps:
+                flagged = ", ".join(str(i) for i in run.reflection.flagged_steps)
+                parts.append(f"Suspect steps: {flagged}")
+        prior = (
+            "\nAn earlier quick attempt, kept here for context only:\n"
+            + quote_injected("\n".join(parts), run.config.max_inject_chars)
+            + "\n"
+        )
+    return {
+        "question": run.question.text,
+        "max_subquestions": str(run.config.max_subquestions),
+        "prior_context": prior,
+    }
+
+
+def _reading_values(run: _Run) -> dict[str, str]:
+    sections = []
+    for item in run.plan.subquestions:
+        docs = run.docs_by_subquestion.get(item.id, [])
+        lines = [f"{item.id}: {item.text}"]
+        if docs:
+            for doc in docs:
+                lines.append(f"[{doc.doc_id}]")
+                lines.append(quote_injected(doc.text, run.config.max_inject_chars))
+        else:
+            lines.append("(no documents retrieved; answer from internal knowledge)")
+        sections.append("\n".join(lines))
+    return {"question": run.question.text, "material": "\n\n".join(sections)}
+
+
+def _retrieved_ids(run: _Run) -> dict[str, list[str]]:
+    return {
+        item.id: [doc.doc_id for doc in run.docs_by_subquestion.get(item.id, [])]
+        for item in run.plan.subquestions
+    }
+
+
+def _hypothesis_values(run: _Run) -> dict[str, str]:
+    question = run.question
+    if question.kind is QuestionKind.MCQ:
+        lines = ["The question has these options:"]
+        lines += [f"{label}: {text}" for label, text in question.options]
+        lines.append("State exactly one hypothesis per option, tagged with its OPTION label.")
+        brief = "\n".join(lines)
+    else:
+        brief = (
+            f"State between 1 and {run.config.max_hypotheses} distinct candidate "
+            "answers as hypotheses. Omit OPTION lines."
+        )
+    return {"question": question.text, "hypothesis_brief": brief}
+
+
+def _integration_values(run: _Run) -> dict[str, str]:
+    return {
+        "question": run.question.text,
+        "hypotheses": "\n".join(_hypothesis_line(h) for h in run.hypotheses),
+        "evidence": _format_evidence(run),
+    }
+
+
+def _decision_values(run: _Run) -> dict[str, str]:
+    return {
+        "question": run.question.text,
+        "context": _decision_context(run) or "(none; answer directly)",
+        "ranking_instruction": RANKING_INSTRUCTION if run.hypotheses else "",
+        "answer_hint": _answer_hint(run.question),
+    }
+
+
+# The parsers are looked up by name on every call (hence the lambdas), so
+# that a patched ``dualthink.engine.parse_*`` is the one that runs.
+_STAGES: dict[Agent, _Stage] = {
+    Agent.QUICK: _Stage(
+        values=lambda run: {
+            "question": run.question.text,
+            "answer_hint": _answer_hint(run.question),
+        },
+        parse=_parse_quick,
+        fields=("quick",),
+        flat=True,
+    ),
+    Agent.REFLECTION: _Stage(
+        values=lambda run: {
+            "question": run.question.text,
+            "quick_trace": quote_injected(_quick_summary(run.quick), run.config.max_inject_chars),
+        },
+        parse=lambda raw, run: parse_reflection(raw, [step.index for step in run.quick.steps]),
+        fields=("reflection",),
+        flat=True,
+    ),
+    Agent.PLANNING: _Stage(
+        values=_planning_values,
+        parse=lambda raw, run: parse_plan(raw, run.config.max_subquestions),
+        fields=("plan",),
+        flat=True,
+    ),
+    Agent.SEARCH: _Stage(
+        values=lambda run: {"question": run.question.text, "subquestions": _listing(run.plan)},
+        parse=lambda raw, run: parse_search(raw, run.plan),
+        fields=("decisions",),
+    ),
+    Agent.READING: _Stage(
+        values=_reading_values,
+        parse=lambda raw, run: parse_reading(raw, _retrieved_ids(run)),
+        fields=("insights",),
+    ),
+    Agent.HYPOTHESIS: _Stage(
+        values=_hypothesis_values,
+        parse=lambda raw, run: parse_hypotheses(
+            raw, run.question.option_labels, run.config.max_hypotheses
+        ),
+        fields=("hypotheses",),
+    ),
+    Agent.INTEGRATION: _Stage(
+        values=_integration_values,
+        parse=lambda raw, run: parse_integration(raw, run.hypotheses, run.evidence_ids()),
+        fields=("verdicts", "integrated"),
+    ),
+    Agent.DECISION: _Stage(
+        values=_decision_values,
+        parse=lambda raw, run: parse_decision(raw, run.hypotheses, run.question.option_labels),
+        fields=("decision",),
+        flat=True,
+    ),
+}
 
 
 class Engine:
@@ -138,351 +291,74 @@ class Engine:
         self._agent_backends = dict(agent_backends or {})
 
     def answer(self, question: Question, config: PipelineConfig | None = None) -> AnswerResult:
+        """Answer one question.
+
+        A ParseError or BackendError raised here has the partial trace of
+        the calls made so far attached as ``trace``.
+        """
         config = config or PipelineConfig()
         question.validate()
         config.validate()
         if Agent.SEARCH in config.stages and self._retriever is None:
             raise ConfigError("the search stage is enabled but no retriever was given")
+        run = _Run(question, config)
+        try:
+            return self._answer(run)
+        except (ParseError, BackendError) as exc:
+            exc.trace = run.trace()
+            raise
 
-        tracer = _TraceBuilder(question.id)
-        outputs = _StageOutputs()
-
+    def _answer(self, run: _Run) -> AnswerResult:
+        question, config = run.question, run.config
         if config.system1_enabled:
-            outputs.quick = self._run_quick(question, config, tracer)
-            if not config.force_system2:
-                if not config.reflection_enabled:
-                    return self._accept_quick(question, outputs.quick, tracer)
-                outputs.reflection = self._run_reflection(
-                    question, outputs.quick, config, tracer
-                )
-                if outputs.reflection.decision is Verdict.ACCEPT:
-                    return self._accept_quick(question, outputs.quick, tracer)
+            self._call(Agent.QUICK, run)
+            if not config.force_system2 and self._gate_accepts(run):
+                final = run.quick.final_answer
+                chosen = None
+                if question.kind is QuestionKind.MCQ:
+                    chosen = extract_choice(final, question.option_labels)
+                return AnswerResult(final, chosen, run.trace(final, chosen))
 
-        decision = self._run_system2(question, config, tracer, outputs)
-        trace = tracer.finish(True, decision.answer, decision.chosen_option)
+        run.system2_triggered = True
+        for agent in stage_sequence(config):
+            self._call(agent, run)
+            if agent is Agent.SEARCH:
+                run.docs_by_subquestion = self._retrieve(run)
+        decision = run.decision
+        trace = run.trace(decision.answer, decision.chosen_option)
         return AnswerResult(decision.answer, decision.chosen_option, trace)
 
-    # -- fast pass --------------------------------------------------------
-
-    def _accept_quick(
-        self, question: Question, quick: QuickAnswer, tracer: _TraceBuilder
-    ) -> AnswerResult:
-        chosen = None
-        if question.kind is QuestionKind.MCQ:
-            chosen = extract_choice(quick.final_answer, question.option_labels)
-        trace = tracer.finish(False, quick.final_answer, chosen)
-        return AnswerResult(quick.final_answer, chosen, trace)
-
-    def _run_quick(
-        self, question: Question, config: PipelineConfig, tracer: _TraceBuilder
-    ) -> QuickAnswer:
-        def parse(raw: str) -> QuickAnswer:
-            quick = parse_quick(raw)
-            if question.kind is QuestionKind.MCQ:
-                extract_choice(quick.final_answer, question.option_labels)
-            return quick
-
-        return self._call(
-            Agent.QUICK,
-            {
-                "question": question.text,
-                "answer_hint": _answer_hint(question),
-            },
-            parse,
-            config,
-            tracer,
-        )
-
-    def _run_reflection(
-        self,
-        question: Question,
-        quick: QuickAnswer,
-        config: PipelineConfig,
-        tracer: _TraceBuilder,
-    ) -> ReflectionVerdict:
-        valid_steps = [step.index for step in quick.steps]
+    def _gate_accepts(self, run: _Run) -> bool:
+        if not run.config.reflection_enabled:
+            return True
         try:
-            return self._call(
-                Agent.REFLECTION,
-                {
-                    "question": question.text,
-                    "quick_trace": quote_injected(
-                        _quick_summary(quick), config.max_inject_chars
-                    ),
-                },
-                lambda raw: parse_reflection(raw, valid_steps),
-                config,
-                tracer,
-            )
+            self._call(Agent.REFLECTION, run)
         except ParseError as exc:
             # The gate fails open: an unreadable verdict means escalate.
             logger.warning("reflection unparseable (%s); escalating", exc.reason)
-            return ReflectionVerdict(
+            run.reflection = ReflectionVerdict(
                 decision=Verdict.ESCALATE,
                 rationale=f"reflection output unparseable: {exc.reason}",
             )
+        return run.reflection.decision is Verdict.ACCEPT
 
-    # -- slow pipeline ----------------------------------------------------
-
-    def _run_system2(
-        self,
-        question: Question,
-        config: PipelineConfig,
-        tracer: _TraceBuilder,
-        outputs: _StageOutputs,
-    ) -> Decision:
-        stages = stage_sequence(config)
-        if not stages:
-            raise ConfigError("deliberation was triggered but no stages are enabled")
-        runners: dict[Agent, Callable[..., None]] = {
-            Agent.PLANNING: self._run_planning,
-            Agent.SEARCH: self._run_search,
-            Agent.READING: self._run_reading,
-            Agent.HYPOTHESIS: self._run_hypothesis,
-            Agent.INTEGRATION: self._run_integration,
-            Agent.DECISION: self._run_decision,
-        }
-        for stage in stages:
-            runners[stage](question, config, tracer, outputs)
-        assert outputs.decision is not None
-        return outputs.decision
-
-    def _run_planning(
-        self,
-        question: Question,
-        config: PipelineConfig,
-        tracer: _TraceBuilder,
-        outputs: _StageOutputs,
-    ) -> None:
-        prior = ""
-        if outputs.quick is not None:
-            parts = [_quick_summary(outputs.quick)]
-            if outputs.reflection is not None and outputs.reflection.rationale:
-                parts.append(f"Reflection: {outputs.reflection.rationale}")
-                if outputs.reflection.flagged_steps:
-                    flagged = ", ".join(str(i) for i in outputs.reflection.flagged_steps)
-                    parts.append(f"Suspect steps: {flagged}")
-            prior = (
-                "\nAn earlier quick attempt, kept here for context only:\n"
-                + quote_injected("\n".join(parts), config.max_inject_chars)
-                + "\n"
-            )
-        outputs.plan = self._call(
-            Agent.PLANNING,
-            {
-                "question": question.text,
-                "max_subquestions": str(config.max_subquestions),
-                "prior_context": prior,
-            },
-            lambda raw: parse_plan(raw, config.max_subquestions),
-            config,
-            tracer,
-        )
-
-    def _run_search(
-        self,
-        question: Question,
-        config: PipelineConfig,
-        tracer: _TraceBuilder,
-        outputs: _StageOutputs,
-    ) -> None:
-        plan = outputs.plan
-        assert plan is not None
-        listing = "\n".join(f"{item.id}: {item.text}" for item in plan.subquestions)
-        outputs.search_decisions = self._call(
-            Agent.SEARCH,
-            {"question": question.text, "subquestions": listing},
-            lambda raw: parse_search(raw, plan),
-            config,
-            tracer,
-        )
-        assert self._retriever is not None
-        docs_by_sq: dict[str, list[RetrievedDoc]] = {pid: [] for pid in plan.ids}
-        for decision in outputs.search_decisions:
+    def _retrieve(self, run: _Run) -> dict[str, list[RetrievedDoc]]:
+        docs_by_sq: dict[str, list[RetrievedDoc]] = {pid: [] for pid in run.plan.ids}
+        for decision in run.decisions:
             if not decision.needs_retrieval:
                 continue
             merged: dict[str, RetrievedDoc] = {}
             for query in decision.queries:
-                for doc in self._retriever.search(query, config.k_retrieval):
+                for doc in self._retriever.search(query, run.config.k_retrieval):
                     merged.setdefault(doc.doc_id, doc)
             docs_by_sq[decision.subquestion_id] = list(merged.values())
-        outputs.docs_by_subquestion = docs_by_sq
+        return docs_by_sq
 
-    def _run_reading(
-        self,
-        question: Question,
-        config: PipelineConfig,
-        tracer: _TraceBuilder,
-        outputs: _StageOutputs,
-    ) -> None:
-        plan = outputs.plan
-        assert plan is not None
-        sections = []
-        available: dict[str, list[str]] = {}
-        for item in plan.subquestions:
-            docs = outputs.docs_by_subquestion.get(item.id, [])
-            available[item.id] = [doc.doc_id for doc in docs]
-            lines = [f"{item.id}: {item.text}"]
-            if docs:
-                for doc in docs:
-                    lines.append(f"[{doc.doc_id}]")
-                    lines.append(quote_injected(doc.text, config.max_inject_chars))
-            else:
-                lines.append("(no documents retrieved; answer from internal knowledge)")
-            sections.append("\n".join(lines))
-        outputs.insights = self._call(
-            Agent.READING,
-            {"question": question.text, "material": "\n\n".join(sections)},
-            lambda raw: parse_reading(raw, available),
-            config,
-            tracer,
-        )
-
-    def _run_hypothesis(
-        self,
-        question: Question,
-        config: PipelineConfig,
-        tracer: _TraceBuilder,
-        outputs: _StageOutputs,
-    ) -> None:
-        if question.kind is QuestionKind.MCQ:
-            lines = ["The question has these options:"]
-            lines += [f"{label}: {text}" for label, text in question.options]
-            lines.append(
-                "State exactly one hypothesis per option, tagged with its OPTION label."
-            )
-            brief = "\n".join(lines)
-        else:
-            brief = (
-                f"State between 1 and {config.max_hypotheses} distinct candidate "
-                "answers as hypotheses. Omit OPTION lines."
-            )
-        outputs.hypotheses = self._call(
-            Agent.HYPOTHESIS,
-            {"question": question.text, "hypothesis_brief": brief},
-            lambda raw: parse_hypotheses(
-                raw, question.option_labels, config.max_hypotheses
-            ),
-            config,
-            tracer,
-        )
-
-    def _run_integration(
-        self,
-        question: Question,
-        config: PipelineConfig,
-        tracer: _TraceBuilder,
-        outputs: _StageOutputs,
-    ) -> None:
-        hypotheses = outputs.hypotheses
-        evidence_ids = outputs.evidence_ids()
-        evidence_text = self._format_evidence(config, outputs)
-        listing = "\n".join(_hypothesis_line(h) for h in hypotheses)
-
-        def parse(raw: str):
-            return parse_integration(raw, hypotheses, evidence_ids)
-
-        verdicts, integrated = self._call(
-            Agent.INTEGRATION,
-            {
-                "question": question.text,
-                "hypotheses": listing,
-                "evidence": evidence_text,
-            },
-            parse,
-            config,
-            tracer,
-        )
-        outputs.verdicts = verdicts
-        outputs.integrated = integrated
-
-    def _run_decision(
-        self,
-        question: Question,
-        config: PipelineConfig,
-        tracer: _TraceBuilder,
-        outputs: _StageOutputs,
-    ) -> None:
-        context = self._format_decision_context(config, outputs)
-        hypotheses = outputs.hypotheses
-        outputs.decision = self._call(
-            Agent.DECISION,
-            {
-                "question": question.text,
-                "context": context or "(none; answer directly)",
-                "ranking_instruction": RANKING_INSTRUCTION if hypotheses else "",
-                "answer_hint": _answer_hint(question),
-            },
-            lambda raw: parse_decision(raw, hypotheses, question.option_labels),
-            config,
-            tracer,
-        )
-
-    # -- prompt assembly helpers ------------------------------------------
-
-    def _format_evidence(self, config: PipelineConfig, outputs: _StageOutputs) -> str:
-        if outputs.insights:
-            lines = []
-            for insight in outputs.insights:
-                cited = ", ".join(insight.source_doc_ids) or "internal"
-                lines.append(f"{insight.id} (for {insight.subquestion_id}; from {cited}):")
-                lines.append(quote_injected(insight.text, config.max_inject_chars))
-            return "\n".join(lines)
-        doc_ids = outputs.evidence_ids()
-        if doc_ids:
-            by_id = {
-                doc.doc_id: doc
-                for docs in outputs.docs_by_subquestion.values()
-                for doc in docs
-            }
-            lines = []
-            for doc_id in doc_ids:
-                lines.append(f"{doc_id}:")
-                lines.append(quote_injected(by_id[doc_id].text, config.max_inject_chars))
-            return "\n".join(lines)
-        return "(no evidence was collected)"
-
-    def _format_decision_context(
-        self, config: PipelineConfig, outputs: _StageOutputs
-    ) -> str:
-        sections: list[str] = []
-        if outputs.plan is not None:
-            listing = "\n".join(f"{i.id}: {i.text}" for i in outputs.plan.subquestions)
-            sections.append("Subquestions:\n" + listing)
-        if outputs.insights or outputs.docs_by_subquestion:
-            sections.append("Evidence:\n" + self._format_evidence(config, outputs))
-        if outputs.hypotheses:
-            verdict_by_id = {v.hypothesis_id: v for v in outputs.verdicts}
-            lines = []
-            for hyp in outputs.hypotheses:
-                line = _hypothesis_line(hyp)
-                verdict = verdict_by_id.get(hyp.id)
-                if verdict is not None:
-                    line += f" [{verdict.status.value.upper()}]"
-                lines.append(line)
-            sections.append("Hypotheses:\n" + "\n".join(lines))
-        if outputs.integrated is not None:
-            section = "Integrated conclusion:\n" + quote_injected(
-                outputs.integrated.text, config.max_inject_chars
-            )
-            if outputs.integrated.supporting_hypothesis_ids:
-                section += "\n(rests on: " + ", ".join(
-                    outputs.integrated.supporting_hypothesis_ids
-                ) + ")"
-            sections.append(section)
-        return "\n\n".join(sections)
-
-    # -- backend plumbing --------------------------------------------------
-
-    def _call(
-        self,
-        agent: Agent,
-        values: dict[str, str],
-        parse_fn: Callable[[str], Any],
-        config: PipelineConfig,
-        tracer: _TraceBuilder,
-    ) -> Any:
-        system_text, user_text = self._prompts.get(agent).render(**values)
+    def _call(self, agent: Agent, run: _Run) -> None:
+        """Runs one row of the stage table, retrying unparseable replies."""
+        stage = _STAGES[agent]
+        config = run.config
+        system_text, user_text = self._prompts.get(agent).render(**stage.values(run))
         backend = self._agent_backends.get(agent, self._backend)
         prompt_text = user_text
         for attempt in range(1, config.max_parse_retries + 2):
@@ -500,43 +376,91 @@ class Engine:
                     exc.agent = agent.value
                 raise
             wall_ms = int((time.monotonic() - started) * 1000)
+            failure: ParseError | None = None
+            parsed = None
             try:
-                value = parse_fn(completion.text)
+                value = stage.parse(completion.text, run)
             except ParseError as exc:
-                tracer.record(
-                    AgentStep(
-                        agent=agent,
-                        attempt=attempt,
-                        prompt=prompt_text,
-                        completion=completion.text,
-                        parsed=None,
-                        usage=completion.usage,
-                        wall_ms=wall_ms,
-                        usage_estimated=completion.usage_estimated,
-                    )
-                )
-                if attempt > config.max_parse_retries:
-                    exc.agent = agent.value
-                    raise
-                logger.info(
-                    "%s attempt %d unparseable (%s); retrying", agent.value, attempt, exc.reason
-                )
-                prompt_text = user_text + _RETRY_SUFFIX.format(reason=exc.reason)
-                continue
-            tracer.record(
+                failure = exc
+            else:
+                outputs = value if len(stage.fields) > 1 else (value,)
+                if stage.flat:
+                    parsed = to_jsonable(value)
+                else:
+                    parsed = {name: to_jsonable(v) for name, v in zip(stage.fields, outputs)}
+            run.steps.append(
                 AgentStep(
                     agent=agent,
                     attempt=attempt,
                     prompt=prompt_text,
                     completion=completion.text,
-                    parsed=_as_parsed(value),
+                    parsed=parsed,
                     usage=completion.usage,
                     wall_ms=wall_ms,
                     usage_estimated=completion.usage_estimated,
                 )
             )
-            return value
-        raise AssertionError("unreachable")
+            if failure is None:
+                for name, output in zip(stage.fields, outputs):
+                    setattr(run, name, output)
+                return
+            if attempt > config.max_parse_retries:
+                failure.agent = agent.value
+                raise failure
+            logger.info(
+                "%s attempt %d unparseable (%s); retrying", agent.value, attempt, failure.reason
+            )
+            prompt_text = user_text + _RETRY_SUFFIX.format(reason=failure.reason)
+
+
+# -- prompt assembly helpers ----------------------------------------------
+
+
+def _format_evidence(run: _Run) -> str:
+    if run.insights:
+        lines = []
+        for insight in run.insights:
+            cited = ", ".join(insight.source_doc_ids) or "internal"
+            lines.append(f"{insight.id} (for {insight.subquestion_id}; from {cited}):")
+            lines.append(quote_injected(insight.text, run.config.max_inject_chars))
+        return "\n".join(lines)
+    doc_ids = run.evidence_ids()
+    if doc_ids:
+        by_id = {doc.doc_id: doc for docs in run.docs_by_subquestion.values() for doc in docs}
+        lines = []
+        for doc_id in doc_ids:
+            lines.append(f"{doc_id}:")
+            lines.append(quote_injected(by_id[doc_id].text, run.config.max_inject_chars))
+        return "\n".join(lines)
+    return "(no evidence was collected)"
+
+
+def _decision_context(run: _Run) -> str:
+    sections: list[str] = []
+    if run.plan is not None:
+        sections.append("Subquestions:\n" + _listing(run.plan))
+    if run.insights or run.docs_by_subquestion:
+        sections.append("Evidence:\n" + _format_evidence(run))
+    if run.hypotheses:
+        verdict_by_id = {v.hypothesis_id: v for v in run.verdicts}
+        lines = []
+        for hyp in run.hypotheses:
+            line = _hypothesis_line(hyp)
+            verdict = verdict_by_id.get(hyp.id)
+            if verdict is not None:
+                line += f" [{verdict.status.value.upper()}]"
+            lines.append(line)
+        sections.append("Hypotheses:\n" + "\n".join(lines))
+    if run.integrated is not None:
+        section = "Integrated conclusion:\n" + quote_injected(
+            run.integrated.text, run.config.max_inject_chars
+        )
+        if run.integrated.supporting_hypothesis_ids:
+            section += "\n(rests on: " + ", ".join(
+                run.integrated.supporting_hypothesis_ids
+            ) + ")"
+        sections.append(section)
+    return "\n\n".join(sections)
 
 
 def _answer_hint(question: Question) -> str:
@@ -557,31 +481,14 @@ def _quick_summary(quick: QuickAnswer) -> str:
     return "\n".join(lines)
 
 
+def _listing(plan: Plan) -> str:
+    return "\n".join(f"{item.id}: {item.text}" for item in plan.subquestions)
+
+
 def _hypothesis_line(hyp: Hypothesis) -> str:
     if hyp.option_label is not None:
         return f"{hyp.id} (option {hyp.option_label}): {hyp.statement}"
     return f"{hyp.id}: {hyp.statement}"
-
-
-def _as_parsed(value: Any) -> dict[str, Any]:
-    """Normalize a parse result into the dict stored on the trace step."""
-    if isinstance(value, QuickAnswer):
-        return to_jsonable(value)
-    if isinstance(value, ReflectionVerdict):
-        return to_jsonable(value)
-    if isinstance(value, Plan):
-        return to_jsonable(value)
-    if isinstance(value, tuple) and value and isinstance(value[0], SearchDecision):
-        return {"decisions": to_jsonable(value)}
-    if isinstance(value, tuple) and value and isinstance(value[0], KeyInsight):
-        return {"insights": to_jsonable(value)}
-    if isinstance(value, tuple) and value and isinstance(value[0], Hypothesis):
-        return {"hypotheses": to_jsonable(value)}
-    if isinstance(value, tuple) and len(value) == 2 and isinstance(value[1], IntegratedHypothesis):
-        return {"verdicts": to_jsonable(value[0]), "integrated": to_jsonable(value[1])}
-    if isinstance(value, Decision):
-        return to_jsonable(value)
-    return {"value": to_jsonable(value)}
 
 
 def answer(

@@ -19,20 +19,26 @@ class ParseError(DualThinkError):
     """A structured completion could not be parsed into a valid payload.
 
     ``reason`` is a machine-readable sentence that is fed back verbatim into
-    the retry prompt; ``agent`` identifies the stage once known.
+    the retry prompt; ``agent`` identifies the stage once known; ``trace``
+    is the question's partial ReasoningTrace once the engine attaches it.
     """
 
     def __init__(self, reason: str, agent: str | None = None):
         self.reason = reason
         self.agent = agent
+        self.trace = None
         super().__init__(reason if agent is None else f"[{agent}] {reason}")
 
 
 class BackendError(DualThinkError):
-    """Transport-level or protocol-level failure when calling a model."""
+    """Transport-level or protocol-level failure when calling a model.
+
+    ``agent`` and ``trace`` are filled in as for :class:`ParseError`.
+    """
 
     def __init__(self, message: str, agent: str | None = None):
         self.agent = agent
+        self.trace = None
         super().__init__(message)
 
 

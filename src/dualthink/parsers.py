@@ -92,7 +92,7 @@ def parse_quick(raw: str) -> QuickAnswer:
                 subanswer=_require_nonempty(suba[i], f"SA{i}"),
             )
         )
-    return QuickAnswer(steps=tuple(steps), final_answer=answer, raw=raw)
+    return QuickAnswer(steps=tuple(steps), final_answer=answer)
 
 
 def serialize_quick(quick: QuickAnswer) -> str:

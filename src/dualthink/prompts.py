@@ -311,7 +311,8 @@ class PromptLibrary:
         """Defaults, with any ``<agent>.txt`` files in ``path`` overriding.
 
         An override file is either the user template alone, or a system text
-        and user template separated by a line containing only ``---``.
+        and user template separated by a line containing only ``---``. Its
+        user template must use exactly the default template's placeholders.
         """
         directory = Path(path)
         if not directory.is_dir():
@@ -325,7 +326,14 @@ class PromptLibrary:
             system_text, user_template = _split_override(raw, templates[agent].system_text)
             if not user_template.strip():
                 raise TemplateError(f"override {file} has an empty user template")
-            templates[agent] = PromptTemplate(agent, system_text, user_template)
+            template = PromptTemplate(agent, system_text, user_template)
+            found, wanted = template.placeholders(), templates[agent].placeholders()
+            if found != wanted:
+                raise TemplateError(
+                    f"override {file} must use the placeholders {sorted(wanted)}; "
+                    f"missing {sorted(wanted - found)}, unknown {sorted(found - wanted)}"
+                )
+            templates[agent] = template
         return cls(templates)
 
 

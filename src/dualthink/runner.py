@@ -33,6 +33,7 @@ from .types import (
     Question,
     QuestionKind,
     TokenUsage,
+    sum_usage,
     to_jsonable,
 )
 
@@ -120,10 +121,7 @@ class Report:
 
     @property
     def total_usage(self) -> TokenUsage:
-        total = TokenUsage()
-        for result in self.results:
-            total = total + result.usage
-        return total
+        return sum_usage(r.usage for r in self.results)
 
     @property
     def mean_completion_tokens(self) -> float:
@@ -241,12 +239,7 @@ def run_benchmark(
             outcome = engine.answer(question, config)
         except (ParseError, BackendError) as exc:
             logger.error("question %s failed: %s", question.id, exc)
-            failed_agent = getattr(exc, "agent", None)
-            triggered = (
-                config.force_system2
-                or not config.system1_enabled
-                or (failed_agent is not None and failed_agent not in ("quick", "reflection"))
-            )
+            trace = exc.trace
             open_scored = question.kind is QuestionKind.OPEN and bool(question.gold_aliases)
             result = QuestionResult(
                 question_id=question.id,
@@ -256,25 +249,26 @@ def run_benchmark(
                 correct=False if question.gold or question.gold_aliases else None,
                 em=0.0 if open_scored else None,
                 f1=0.0 if open_scored else None,
-                system2_triggered=triggered,
-                usage=TokenUsage(),
+                system2_triggered=trace.system2_triggered,
+                usage=trace.total_usage,
                 difficulty=question.difficulty,
+                trace_path=trace_path,
                 error=str(exc),
+                usage_estimated=any(s.usage_estimated for s in trace.steps),
             )
         else:
-            if trace_path:
-                Path(trace_path).write_text(
-                    json.dumps(outcome.trace.to_dict(), indent=2), encoding="utf-8"
-                )
+            trace = outcome.trace
             result = score_result(
                 question,
                 outcome.final_answer,
                 outcome.chosen_option,
-                outcome.trace.system2_triggered,
-                outcome.trace.total_usage,
+                trace.system2_triggered,
+                trace.total_usage,
                 trace_path=trace_path,
-                usage_estimated=any(s.usage_estimated for s in outcome.trace.steps),
+                usage_estimated=any(s.usage_estimated for s in trace.steps),
             )
+        if trace_path:
+            Path(trace_path).write_text(json.dumps(trace.to_dict(), indent=2), encoding="utf-8")
         if results_path:
             with write_lock:
                 with results_path.open("a", encoding="utf-8") as handle:

@@ -141,7 +141,6 @@ class QuickAnswer:
 
     steps: tuple[SubStep, ...]
     final_answer: str
-    raw: str = ""
 
 
 class Verdict(str, Enum):

@@ -5,7 +5,6 @@ in-test oracle (or hand arithmetic frozen into constants) and finishes
 by printing one ``ACCEPTANCE <name>: PASS`` line.
 """
 
-import dataclasses
 import json
 import math
 import os
@@ -16,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from dualthink.backend import HttpChatBackend, ScriptedBackend
+from dualthink.backend import HttpChatBackend, ScriptedBackend, ScriptEntry
 from dualthink.engine import Engine
 from dualthink.errors import ParseError
 from dualthink.metrics import exact_match, f1, normalize_answer
@@ -372,15 +371,24 @@ def test_bm25_matches_brute_force_on_random_corpora():
 
 
 def test_token_totals_are_conserved_end_to_end(tmp_path):
-    questions = ACCEPT_QUESTIONS
+    # The last question errors: every stage but the final one is answered,
+    # then the final stage gets only unparseable replies.
+    doomed = Question(id="a06", text="Number of legs on a spider?", gold="eight")
+    questions = ACCEPT_QUESTIONS + [doomed]
     chosen = [
         ("System 1", ablation_presets()[0][1]),
         ("System 2 (Full)", ablation_presets()[1][1]),
     ]
+    backends = {}
 
     def factory(name):
         config = dict(chosen)[name]
-        return ScriptedBackend(entries_for_many(questions, config, ACCEPT_ANSWERS))
+        entries = entries_for_many(ACCEPT_QUESTIONS, config, ACCEPT_ANSWERS)
+        entries += entries_for(doomed, config, "eight")[:-1]
+        attempts = config.max_parse_retries + 1
+        entries += [ScriptEntry("no block at all", matcher=doomed.text) for _ in range(attempts)]
+        backends[name] = ScriptedBackend(entries)
+        return backends[name]
 
     rows = ablation_sweep(
         questions,
@@ -392,7 +400,9 @@ def test_token_totals_are_conserved_end_to_end(tmp_path):
 
     traces_checked = 0
     for name, report in rows:
-        fold_prompt = fold_completion = 0
+        assert [r.question_id for r in report.errored] == [doomed.id], name
+        assert backends[name].remaining == 0, name
+        fold_prompt = fold_completion = steps = 0
         for result in report.results:
             trace = json.loads(Path(result.trace_path).read_text(encoding="utf-8"))
             step_prompt = sum(s["usage"]["prompt_tokens"] for s in trace["steps"])
@@ -403,7 +413,9 @@ def test_token_totals_are_conserved_end_to_end(tmp_path):
             assert result.usage.completion_tokens == step_completion
             fold_prompt += step_prompt
             fold_completion += step_completion
+            steps += len(trace["steps"])
             traces_checked += 1
+        assert steps == len(backends[name].calls), name
         assert report.total_usage.prompt_tokens == fold_prompt
         assert report.total_usage.completion_tokens == fold_completion
 
@@ -428,7 +440,7 @@ _FUZZ_AVAILABLE = {"P1": ["d1", "d2"], "P2": []}
 def _round_trip_all(rng):
     quick = payload_gen.gen_quick(rng)
     parsed = parse_quick(serialize_quick(quick))
-    assert dataclasses.replace(parsed, raw="") == dataclasses.replace(quick, raw="")
+    assert parsed == quick
 
     reflection = payload_gen.gen_reflection(rng)
     assert parse_reflection(serialize_reflection(reflection), valid_steps=range(1, 6)) == reflection

@@ -188,6 +188,19 @@ def test_backend_errors_carry_agent_attribution():
     assert info.value.agent == "quick"
 
 
+def test_failure_mid_deliberation_carries_the_partial_trace():
+    config = dataclasses.replace(FULL, stages=NO_SEARCH.stages)
+    entries = entries_for(MCQ, config, "A")[:-1]  # the decision call finds no entry
+    with pytest.raises(BackendExhausted) as info:
+        run(MCQ, config, entries)
+    trace = info.value.trace
+    assert info.value.agent == "decision"
+    assert trace.agent_sequence() == [Agent.QUICK, Agent.REFLECTION, Agent.HYPOTHESIS]
+    assert trace.system2_triggered is True
+    assert trace.total_usage.total > 0
+    assert (trace.final_answer, trace.chosen_option) == ("", None)
+
+
 # --- retrieval behavior ------------------------------------------------------
 
 
@@ -385,6 +398,38 @@ def test_without_any_evidence_supported_is_unreachable():
 
 
 # --- trace bookkeeping ---------------------------------------------------------
+
+
+def test_each_agent_step_has_its_parsed_shape():
+    entries = entries_for(MCQ, FULL, "B", reflect=Verdict.ESCALATE)
+    result = run(MCQ, FULL, entries, retriever=SpyRetriever())
+    keys = {step.agent: set(step.parsed) for step in result.trace.steps}
+    assert keys == {
+        Agent.QUICK: {"steps", "final_answer"},
+        Agent.REFLECTION: {"decision", "rationale", "flagged_steps"},
+        Agent.PLANNING: {"subquestions"},
+        Agent.SEARCH: {"decisions"},
+        Agent.READING: {"insights"},
+        Agent.HYPOTHESIS: {"hypotheses"},
+        Agent.INTEGRATION: {"verdicts", "integrated"},
+        Agent.DECISION: {"answer", "chosen_option", "ranking", "justification"},
+    }
+
+
+def test_parsers_are_looked_up_on_the_engine_module(monkeypatch):
+    import dualthink.engine as engine_module
+
+    seen = []
+    original = engine_module.parse_plan
+
+    def spy(raw, max_subquestions):
+        seen.append(max_subquestions)
+        return original(raw, max_subquestions)
+
+    monkeypatch.setattr(engine_module, "parse_plan", spy)
+    entries = entries_for(MCQ, FULL, "B", reflect=Verdict.ESCALATE)
+    run(MCQ, FULL, entries, retriever=SpyRetriever())
+    assert seen == [FULL.max_subquestions]
 
 
 def test_token_totals_equal_the_sum_over_steps():

@@ -51,7 +51,6 @@ def test_quick_happy_path():
     assert [s.index for s in quick.steps] == [1, 2]
     assert quick.steps[0].subanswer == "A wrought-iron lattice tower."
     assert quick.final_answer == "Paris"
-    assert quick.raw == raw
 
 
 def test_quick_requires_paired_and_contiguous_steps():

@@ -49,11 +49,18 @@ def test_missing_placeholder_raises_template_error():
         library.get(Agent.QUICK).render(question="only this")
 
 
-def test_unknown_placeholder_in_override_raises_on_render(tmp_path):
-    (tmp_path / "quick.txt").write_text("Question: ${question} ${bogus}", encoding="utf-8")
-    library = PromptLibrary.from_dir(tmp_path)
-    with pytest.raises(TemplateError):
-        library.get(Agent.QUICK).render(question="x", answer_hint="")
+def test_unknown_placeholder_in_override_is_rejected_at_load(tmp_path):
+    (tmp_path / "quick.txt").write_text(
+        "Question: ${question}${answer_hint} ${bogus}", encoding="utf-8"
+    )
+    with pytest.raises(TemplateError, match=r"unknown \['bogus'\]"):
+        PromptLibrary.from_dir(tmp_path)
+
+
+def test_override_missing_a_default_placeholder_is_rejected_at_load(tmp_path):
+    (tmp_path / "quick.txt").write_text("Question: ${question}", encoding="utf-8")
+    with pytest.raises(TemplateError, match=r"missing \['answer_hint'\]"):
+        PromptLibrary.from_dir(tmp_path)
 
 
 def test_override_dir_replaces_only_named_agents(tmp_path):
@@ -72,10 +79,11 @@ def test_override_dir_replaces_only_named_agents(tmp_path):
 
 
 def test_override_without_separator_keeps_default_system(tmp_path):
-    (tmp_path / "decision.txt").write_text("Decide: ${question}", encoding="utf-8")
+    user = "Decide: ${question}\n${context}${answer_hint}\n${ranking_instruction}"
+    (tmp_path / "decision.txt").write_text(user, encoding="utf-8")
     library = PromptLibrary.from_dir(tmp_path)
     decision = library.get(Agent.DECISION)
-    assert decision.user_template == "Decide: ${question}"
+    assert decision.user_template == user
     assert decision.system_text == PromptLibrary.default().get(Agent.DECISION).system_text
 
 

@@ -22,7 +22,7 @@ from dualthink.types import (
     TokenUsage,
 )
 
-from scripting import entries_for_many, quick_completion
+from scripting import entries_for, entries_for_many, quick_completion
 
 S1_ONLY = PipelineConfig(stages=frozenset(), reflection_enabled=False)
 
@@ -165,6 +165,24 @@ def test_failure_in_a_deliberation_stage_counts_as_system2():
     report = run_benchmark([make_mcq(1)], config, ScriptedBackend([]))
     assert report.results[0].error is not None
     assert report.results[0].system2_triggered is True
+
+
+def test_errored_question_keeps_its_tokens_and_trace(tmp_path):
+    config = dataclasses.replace(
+        preset("System 1 + System 2"), stages=preset("System 2 (Hypothesis + Decision)").stages
+    )
+    question = make_mcq(1)
+    entries = entries_for(question, config, "A")[:-1]  # the decision call finds no entry
+    report = run_benchmark([question], config, ScriptedBackend(entries), out_dir=tmp_path)
+    failed = report.results[0]
+    assert failed.error is not None
+    trace = json.loads((tmp_path / "traces" / "q01.json").read_text(encoding="utf-8"))
+    assert failed.trace_path == str(tmp_path / "traces" / "q01.json")
+    assert [s["agent"] for s in trace["steps"]] == ["quick", "reflection", "hypothesis"]
+    assert failed.usage == TokenUsage(**trace["total_usage"])
+    assert failed.usage.prompt_tokens > 0 and failed.usage.completion_tokens > 0
+    assert failed.system2_triggered is trace["system2_triggered"] is True
+    assert report.total_usage == failed.usage
 
 
 # --- run directories ----------------------------------------------------------
