@@ -303,31 +303,3 @@ def scripted_backend(*entries: str | tuple[str, str] | ScriptEntry) -> ScriptedB
         else:
             built.append(ScriptEntry(completion=entry))
     return ScriptedBackend(built)
-
-
-@dataclass(frozen=True)
-class BackendSpec:
-    """Declarative backend selection, as read from config files or flags."""
-
-    kind: str = "http"
-    endpoint: str = ""
-    model: str = ""
-    api_key_env: str = "LLM_API_KEY"
-    timeout: float = 60.0
-    max_attempts: int = 3
-    script_path: str = ""
-
-    def build(self) -> LLMBackend:
-        if self.kind == "http":
-            return HttpChatBackend(
-                endpoint=self.endpoint,
-                model=self.model,
-                api_key_env=self.api_key_env,
-                timeout=self.timeout,
-                retry=RetryPolicy(max_attempts=self.max_attempts),
-            )
-        if self.kind == "scripted":
-            if not self.script_path:
-                raise ConfigError("scripted backend needs a script_path")
-            return ScriptedBackend.from_file(self.script_path)
-        raise ConfigError(f"unknown backend kind {self.kind!r} (use 'http' or 'scripted')")

@@ -2,9 +2,10 @@
 
 Subcommands: ``ask`` (one question), ``bench`` (score a dataset),
 ``ablate`` (preset sweep), ``index build`` (build a retrieval snapshot),
-``trace show`` (pretty-print a saved trace). Settings merge as
-flag > config file > built-in default; the config file is INI-style with
-[backend], [pipeline], [retrieval], [dataset], and [run] sections.
+``trace show`` (pretty-print a saved trace). Every setting is one row of
+``_OPTIONS``: its section and key in the INI config file, its type, its
+flag, and the commands that read it. A flag beats the config file; a
+setting given by neither is left out, so the callee's own default applies.
 
 Exit codes: 0 success, 1 a question failed at runtime, 2 bad usage or
 configuration.
@@ -21,10 +22,10 @@ import sys
 from pathlib import Path
 from typing import Any, Sequence
 
-from .backend import BackendSpec, LLMBackend
-from .dataset import DatasetSpec, load_dataset
+from .backend import HttpChatBackend, LLMBackend, RetryPolicy, ScriptedBackend
+from .dataset import DATASET_KINDS, DatasetSpec, load_dataset
 from .engine import Engine
-from .errors import BackendError, DualThinkError, ParseError
+from .errors import BackendError, ConfigError, DualThinkError, ParseError
 from .presets import DUAL_PRESET_NAME, ablation_presets, preset, preset_names
 from .prompts import PromptLibrary
 from .retrieval import BM25Index, build_index_from_corpus
@@ -35,32 +36,64 @@ from .runner import (
     stratified_trigger_report,
     write_ablation_csv,
     write_accuracy_vs_tokens_csv,
+    write_atomic,
     write_stratified_csv,
 )
 from .types import PipelineConfig, Question
 
-logger = logging.getLogger(__name__)
-
 _USAGE_EXIT = 2
 _RUNTIME_EXIT = 1
 
+_ONE_CONFIG = ("ask", "bench")
+_RUNS = ("ask", "bench", "ablate")
+_SWEEPS = ("bench", "ablate")
+
+#: One row per setting: (section, key, type, flag or None, commands, help).
+#: A tuple type lists the allowed strings.
+_OPTIONS: tuple[tuple[str, str, Any, str | None, tuple[str, ...], str | None], ...] = (
+    ("pipeline", "preset", str, "--preset", _ONE_CONFIG, f"one of: {', '.join(preset_names())}"),
+    ("pipeline", "force_system2", bool, "--force-system2", _ONE_CONFIG, "always deliberate"),
+    ("pipeline", "k_retrieval", int, "--k", _RUNS, "documents per query"),
+    ("pipeline", "max_subquestions", int, "--max-subquestions", _RUNS, None),
+    ("pipeline", "max_hypotheses", int, "--max-hypotheses", _RUNS, None),
+    ("pipeline", "max_parse_retries", int, "--max-parse-retries", _RUNS, None),
+    ("pipeline", "temperature", float, "--temperature", _RUNS, None),
+    ("pipeline", "max_tokens", int, "--max-tokens", _RUNS, None),
+    ("backend", "kind", ("http", "scripted"), "--backend", _RUNS, None),
+    ("backend", "endpoint", str, "--endpoint", _RUNS, "chat-completions API base URL"),
+    ("backend", "model", str, "--model", _RUNS, None),
+    ("backend", "api_key_env", str, "--api-key-env", _RUNS, "env var holding the API key"),
+    ("backend", "timeout", float, "--timeout", _RUNS, "seconds per HTTP request"),
+    ("backend", "max_attempts", int, None, _RUNS, None),
+    ("backend", "script", str, "--script", _RUNS, "scripted-backend completions JSON"),
+    ("retrieval", "index", str, "--index", _RUNS, "BM25 snapshot to load"),
+    ("retrieval", "corpus", str, "--corpus", _RUNS, "JSONL corpus to index on the fly"),
+    ("retrieval", "k1", float, "--k1", _RUNS + ("index build",), "BM25 k1"),
+    ("retrieval", "b", float, "--b", _RUNS + ("index build",), "BM25 b"),
+    ("dataset", "path", str, "--dataset", _SWEEPS, "JSONL dataset path"),
+    ("dataset", "kind", DATASET_KINDS, "--dataset-kind", _SWEEPS, None),
+    ("dataset", "limit", int, "--limit", _SWEEPS, "use only the first N questions"),
+    ("dataset", "shuffle_seed", int, "--shuffle-seed", _SWEEPS, "shuffle before limiting"),
+    ("run", "out", str, "--out", _SWEEPS, "run directory (enables resume)"),
+    ("run", "name", str, "--name", ("bench",), "run name for the report"),
+    ("run", "parallelism", int, "--parallelism", _SWEEPS, "concurrent questions"),
+    ("run", "prompt_dir", str, "--prompt-dir", _RUNS, "directory of per-agent prompt overrides"),
+)
+
+Settings = dict[str, dict[str, Any]]
+
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     logging.basicConfig(
         level=getattr(logging, args.log_level.upper(), logging.WARNING),
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        settings = _Settings.load(args)
-        return args.handler(args, settings)
-    except (ParseError, BackendError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _RUNTIME_EXIT
+        return args.handler(args, _settings(args))
     except DualThinkError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return _USAGE_EXIT
+        return _RUNTIME_EXIT if isinstance(exc, (ParseError, BackendError)) else _USAGE_EXIT
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -72,8 +105,22 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="INI config file")
     parser.add_argument("--log-level", default="warning", help="logging level")
     sub = parser.add_subparsers(dest="command", required=True)
+    index = sub.add_parser("index", help="retrieval index maintenance")
+    index_sub = index.add_subparsers(dest="index_command", required=True)
+    trace = sub.add_parser("trace", help="inspect saved traces")
+    trace_sub = trace.add_subparsers(dest="trace_command", required=True)
+    commands = {}
+    for group, name, handler, help_text in (
+        (sub, "ask", _cmd_ask, "answer a single question"),
+        (sub, "bench", _cmd_bench, "run and score a dataset"),
+        (sub, "ablate", _cmd_ablate, "run every preset over a dataset"),
+        (index_sub, "index build", _cmd_index_build, "build a BM25 snapshot from a corpus"),
+        (trace_sub, "trace show", _cmd_trace_show, "pretty-print a trace JSON file"),
+    ):
+        commands[name] = group.add_parser(name.split()[-1], help=help_text)
+        commands[name].set_defaults(handler=handler, command=name)
 
-    ask = sub.add_parser("ask", help="answer a single question")
+    ask = commands["ask"]
     ask.add_argument("question", help="the question text")
     ask.add_argument(
         "--option",
@@ -83,212 +130,138 @@ def build_parser() -> argparse.ArgumentParser:
         help="multiple-choice option; repeat per option",
     )
     ask.add_argument("--trace", help="write the reasoning trace JSON here")
-    _add_pipeline_flags(ask)
-    _add_backend_flags(ask)
-    _add_retrieval_flags(ask)
-    ask.set_defaults(handler=_cmd_ask)
-
-    bench = sub.add_parser("bench", help="run and score a dataset")
-    bench.add_argument("--dataset", help="JSONL dataset path")
-    bench.add_argument("--dataset-kind", choices=["auto", "mcq", "open"])
-    bench.add_argument("--limit", type=int, help="use only the first N questions")
-    bench.add_argument("--shuffle-seed", type=int, help="shuffle before limiting")
-    bench.add_argument("--out", help="run directory (enables resume)")
-    bench.add_argument("--name", help="run name for the report")
-    bench.add_argument("--parallelism", type=int, help="concurrent questions")
-    bench.add_argument(
+    commands["bench"].add_argument(
         "--stratified",
         action="store_true",
         help="also print accuracy by difficulty and answering system",
     )
-    _add_pipeline_flags(bench)
-    _add_backend_flags(bench)
-    _add_retrieval_flags(bench)
-    bench.set_defaults(handler=_cmd_bench)
-
-    ablate = sub.add_parser("ablate", help="run every preset over a dataset")
-    ablate.add_argument("--dataset", help="JSONL dataset path")
-    ablate.add_argument("--dataset-kind", choices=["auto", "mcq", "open"])
-    ablate.add_argument("--limit", type=int)
-    ablate.add_argument("--shuffle-seed", type=int)
-    ablate.add_argument("--out", help="sweep directory")
-    ablate.add_argument("--parallelism", type=int)
-    ablate.add_argument(
-        "--presets",
-        help="comma-separated preset names (default: the eight ablation rows)",
+    commands["ablate"].add_argument(
+        "--presets", help="comma-separated preset names (default: the eight ablation rows)"
     )
-    _add_pipeline_flags(ablate, with_preset=False)
-    _add_backend_flags(ablate)
-    _add_retrieval_flags(ablate)
-    ablate.set_defaults(handler=_cmd_ablate)
-
-    index = sub.add_parser("index", help="retrieval index maintenance")
-    index_sub = index.add_subparsers(dest="index_command", required=True)
-    build = index_sub.add_parser("build", help="build a BM25 snapshot from a corpus")
+    build = commands["index build"]
     build.add_argument("--corpus", required=True, help="JSONL corpus path")
     build.add_argument("--out", required=True, help="snapshot output path")
-    build.add_argument("--k1", type=float, default=1.2)
-    build.add_argument("--b", type=float, default=0.75)
-    build.set_defaults(handler=_cmd_index_build)
-
-    trace = sub.add_parser("trace", help="inspect saved traces")
-    trace_sub = trace.add_subparsers(dest="trace_command", required=True)
-    show = trace_sub.add_parser("show", help="pretty-print a trace JSON file")
+    show = commands["trace show"]
     show.add_argument("path", help="trace file written by ask/bench")
     show.add_argument("--full", action="store_true", help="print whole completions")
-    show.set_defaults(handler=_cmd_trace_show)
 
+    for section, key, kind, flag, names, help_text in _OPTIONS:
+        if flag is None:
+            continue
+        if kind is bool:
+            extra: dict[str, Any] = {"action": "store_true", "default": None}
+        elif isinstance(kind, tuple):
+            extra = {"choices": kind}
+        else:
+            extra = {"type": kind, "metavar": key.upper()}
+        for name in names:
+            commands[name].add_argument(flag, dest=f"{section}.{key}", help=help_text, **extra)
     return parser
 
 
-def _add_pipeline_flags(cmd: argparse.ArgumentParser, with_preset: bool = True) -> None:
-    if with_preset:
-        cmd.add_argument("--preset", help=f"one of: {', '.join(preset_names())}")
-    cmd.add_argument("--force-system2", action="store_true", default=None)
-    cmd.add_argument("--k", type=int, dest="k_retrieval", help="documents per query")
-    cmd.add_argument("--max-subquestions", type=int)
-    cmd.add_argument("--max-hypotheses", type=int)
-    cmd.add_argument("--max-parse-retries", type=int)
-    cmd.add_argument("--temperature", type=float)
-    cmd.add_argument("--max-tokens", type=int)
-    cmd.add_argument("--prompt-dir", help="directory of per-agent prompt overrides")
+def _settings(args: argparse.Namespace) -> Settings:
+    """``{section: {key: value}}`` for the command being run: each row's flag,
+    else its config-file value; a setting given by neither is left out."""
+    config = _read_config(args.config)
+    settings: Settings = {section: {} for section, *_ in _OPTIONS}
+    for section, key, _kind, _flag, commands, _help in _OPTIONS:
+        value = getattr(args, f"{section}.{key}", None)
+        value = config.get((section, key)) if value is None else value
+        if value is not None and args.command in commands:
+            settings[section][key] = value
+    return settings
 
 
-def _add_backend_flags(cmd: argparse.ArgumentParser) -> None:
-    cmd.add_argument("--backend", choices=["http", "scripted"], dest="backend_kind")
-    cmd.add_argument("--endpoint", help="chat-completions API base URL")
-    cmd.add_argument("--model")
-    cmd.add_argument("--api-key-env", help="env var holding the API key")
-    cmd.add_argument("--timeout", type=float)
-    cmd.add_argument("--script", help="scripted-backend completions JSON")
+def _read_config(path: str | None) -> dict[tuple[str, str], Any]:
+    """Typed values from the INI file, keyed by (section, key); an empty
+    value counts as not given, and a section or key with no row is an error."""
+    if not path:
+        return {}
+    if not Path(path).is_file():
+        raise DualThinkError(f"config file not found: {path}")
+    kinds = {(section, key): kind for section, key, kind, *_ in _OPTIONS}
+    parser = configparser.ConfigParser(default_section="")  # [DEFAULT] is unknown too
+    values = {}
+    try:
+        parser.read(path, encoding="utf-8")
+        for section in parser.sections():
+            if section not in {s for s, _ in kinds}:
+                raise ConfigError(f"{path}: unknown section [{section}]")
+            for key, text in parser.items(section):
+                if (section, key) not in kinds:
+                    raise ConfigError(f"{path}: unknown setting [{section}] {key}")
+                if text:
+                    values[section, key] = _convert(kinds[section, key], text, f"[{section}] {key}")
+    except configparser.Error as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    return values
 
 
-def _add_retrieval_flags(cmd: argparse.ArgumentParser) -> None:
-    cmd.add_argument("--index", dest="index_path", help="BM25 snapshot to load")
-    cmd.add_argument("--corpus", dest="corpus_path", help="JSONL corpus to index on the fly")
+def _convert(kind: Any, text: str, where: str) -> Any:
+    try:
+        if kind is bool:
+            return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+        if isinstance(kind, tuple):
+            if text not in kind:
+                raise ValueError(text)
+            return text
+        return kind(text)
+    except (KeyError, ValueError):
+        expected = " or ".join(kind) if isinstance(kind, tuple) else kind.__name__
+        raise ConfigError(f"{where} = {text!r} is not a valid {expected}") from None
 
 
-class _Settings:
-    """Config-file values, already typed; flags override at use sites."""
-
-    def __init__(self, config: configparser.ConfigParser):
-        self._config = config
-
-    @classmethod
-    def load(cls, args: argparse.Namespace) -> "_Settings":
-        config = configparser.ConfigParser()
-        path = getattr(args, "config", None)
-        if path:
-            if not Path(path).is_file():
-                raise DualThinkError(f"config file not found: {path}")
-            config.read(path, encoding="utf-8")
-        return cls(config)
-
-    def get(self, section: str, key: str, fallback: Any = None) -> Any:
-        return self._config.get(section, key, fallback=fallback)
-
-    def getint(self, section: str, key: str) -> int | None:
-        value = self.get(section, key)
-        return int(value) if value not in (None, "") else None
-
-    def getfloat(self, section: str, key: str) -> float | None:
-        value = self.get(section, key)
-        return float(value) if value not in (None, "") else None
-
-    def getbool(self, section: str, key: str) -> bool | None:
-        value = self.get(section, key)
-        if value in (None, ""):
-            return None
-        return self._config.getboolean(section, key)
-
-
-def _pick(*values: Any) -> Any:
-    """First value that is not None."""
-    for value in values:
-        if value is not None:
-            return value
-    return None
-
-
-def _resolve_pipeline(args: argparse.Namespace, settings: _Settings) -> PipelineConfig:
-    preset_name = _pick(
-        getattr(args, "preset", None),
-        settings.get("pipeline", "preset"),
-        DUAL_PRESET_NAME,
-    )
-    config = preset(preset_name)
-    overrides: dict[str, Any] = {}
-    force = _pick(args.force_system2, settings.getbool("pipeline", "force_system2"))
-    if force is not None:
-        overrides["force_system2"] = force
-    for attr, getter in (
-        ("k_retrieval", settings.getint),
-        ("max_subquestions", settings.getint),
-        ("max_hypotheses", settings.getint),
-        ("max_parse_retries", settings.getint),
-        ("temperature", settings.getfloat),
-        ("max_tokens", settings.getint),
-    ):
-        value = _pick(getattr(args, attr, None), getter("pipeline", attr))
-        if value is not None:
-            overrides[attr] = value
-    if overrides:
-        config = dataclasses.replace(config, **overrides)
+def _pipeline(settings: Settings, base: PipelineConfig | None = None) -> PipelineConfig:
+    """``base`` (by default the [pipeline] preset) with the other [pipeline]
+    settings applied."""
+    overrides = dict(settings["pipeline"])
+    name = overrides.pop("preset", DUAL_PRESET_NAME)
+    config = dataclasses.replace(base if base is not None else preset(name), **overrides)
     config.validate()
     return config
 
 
-def _resolve_backend(args: argparse.Namespace, settings: _Settings) -> LLMBackend:
-    spec = BackendSpec(
-        kind=_pick(args.backend_kind, settings.get("backend", "kind"), "http"),
-        endpoint=_pick(args.endpoint, settings.get("backend", "endpoint"), ""),
-        model=_pick(args.model, settings.get("backend", "model"), ""),
-        api_key_env=_pick(
-            args.api_key_env, settings.get("backend", "api_key_env"), "LLM_API_KEY"
-        ),
-        timeout=_pick(args.timeout, settings.getfloat("backend", "timeout"), 60.0),
-        max_attempts=_pick(settings.getint("backend", "max_attempts"), 3),
-        script_path=_pick(args.script, settings.get("backend", "script"), ""),
-    )
-    return spec.build()
+def _backend(settings: Settings) -> LLMBackend:
+    options = dict(settings["backend"])
+    kind, script = options.pop("kind", None), options.pop("script", None)
+    if kind == "scripted":
+        if not script:
+            raise ConfigError("the scripted backend needs --script or [backend] script")
+        return ScriptedBackend.from_file(script)
+    if "max_attempts" in options:
+        options["retry"] = RetryPolicy(max_attempts=options.pop("max_attempts"))
+    return HttpChatBackend(options.pop("endpoint", ""), options.pop("model", ""), **options)
 
 
-def _resolve_retriever(args: argparse.Namespace, settings: _Settings) -> BM25Index | None:
-    index_path = _pick(args.index_path, settings.get("retrieval", "index"))
-    corpus_path = _pick(args.corpus_path, settings.get("retrieval", "corpus"))
-    if index_path:
-        return BM25Index.load(index_path)
-    if corpus_path:
-        k1 = _pick(settings.getfloat("retrieval", "k1"), 1.2)
-        b = _pick(settings.getfloat("retrieval", "b"), 0.75)
-        return build_index_from_corpus(corpus_path, k1=k1, b=b)
-    return None
+def _retriever(settings: Settings) -> BM25Index | None:
+    options = dict(settings["retrieval"])
+    index, corpus = options.pop("index", None), options.pop("corpus", None)
+    if index:
+        return BM25Index.load(index)
+    return build_index_from_corpus(corpus, **options) if corpus else None
 
 
-def _resolve_prompts(args: argparse.Namespace, settings: _Settings) -> PromptLibrary:
-    prompt_dir = _pick(getattr(args, "prompt_dir", None), settings.get("run", "prompt_dir"))
-    if prompt_dir:
-        return PromptLibrary.from_dir(prompt_dir)
-    return PromptLibrary.default()
+def _prompts(settings: Settings) -> PromptLibrary | None:
+    prompt_dir = settings["run"].get("prompt_dir")
+    return PromptLibrary.from_dir(prompt_dir) if prompt_dir else None
 
 
-def _resolve_dataset(args: argparse.Namespace, settings: _Settings) -> list[Question]:
-    path = _pick(args.dataset, settings.get("dataset", "path"))
-    if not path:
+def _dataset(settings: Settings) -> list[Question]:
+    if "path" not in settings["dataset"]:
         raise DualThinkError("no dataset given (use --dataset or [dataset] path)")
-    spec = DatasetSpec(
-        path=path,
-        kind=_pick(args.dataset_kind, settings.get("dataset", "kind"), "auto"),
-        limit=_pick(args.limit, settings.getint("dataset", "limit")),
-        shuffle_seed=_pick(args.shuffle_seed, settings.getint("dataset", "shuffle_seed")),
-    )
-    return load_dataset(spec)
+    return load_dataset(DatasetSpec(**settings["dataset"]))
+
+
+def _run_options(settings: Settings) -> dict[str, Any]:
+    """[run] settings as ``run_benchmark``/``ablation_sweep`` keywords."""
+    options = {k: v for k, v in settings["run"].items() if k not in ("out", "prompt_dir")}
+    return {"out_dir": settings["run"].get("out"), "prompts": _prompts(settings), **options}
 
 
 # --- subcommand handlers ---------------------------------------------------
 
 
-def _cmd_ask(args: argparse.Namespace, settings: _Settings) -> int:
+def _cmd_ask(args: argparse.Namespace, settings: Settings) -> int:
     options = []
     for item in args.option:
         label, sep, text = item.partition("=")
@@ -296,17 +269,11 @@ def _cmd_ask(args: argparse.Namespace, settings: _Settings) -> int:
             raise DualThinkError(f"--option must look like LABEL=TEXT, got {item!r}")
         options.append((label.strip(), text.strip()))
     question = Question(id="cli", text=args.question, options=tuple(options))
-    config = _resolve_pipeline(args, settings)
-    engine = Engine(
-        _resolve_backend(args, settings),
-        retriever=_resolve_retriever(args, settings),
-        prompts=_resolve_prompts(args, settings),
-    )
+    config = _pipeline(settings)
+    engine = Engine(_backend(settings), retriever=_retriever(settings), prompts=_prompts(settings))
     result = engine.answer(question, config)
     if args.trace:
-        Path(args.trace).write_text(
-            json.dumps(result.trace.to_dict(), indent=2), encoding="utf-8"
-        )
+        write_atomic(Path(args.trace), json.dumps(result.trace.to_dict(), indent=2))
     mode = "system 2" if result.trace.system2_triggered else "system 1"
     if result.chosen_option is not None:
         print(f"{result.chosen_option}: {result.final_answer}")
@@ -320,18 +287,13 @@ def _cmd_ask(args: argparse.Namespace, settings: _Settings) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace, settings: _Settings) -> int:
-    questions = _resolve_dataset(args, settings)
-    config = _resolve_pipeline(args, settings)
+def _cmd_bench(args: argparse.Namespace, settings: Settings) -> int:
     report = run_benchmark(
-        questions,
-        config,
-        _resolve_backend(args, settings),
-        _resolve_retriever(args, settings),
-        parallelism=_pick(args.parallelism, settings.getint("run", "parallelism"), 1),
-        out_dir=_pick(args.out, settings.get("run", "out")),
-        name=_pick(args.name, settings.get("run", "name"), "run"),
-        prompts=_resolve_prompts(args, settings),
+        _dataset(settings),
+        _pipeline(settings),
+        _backend(settings),
+        _retriever(settings),
+        **_run_options(settings),
     )
     print(f"{report.name}: {len(report.results)} questions ({report.kind})")
     if report.kind == "mcq":
@@ -351,7 +313,7 @@ def _cmd_bench(args: argparse.Namespace, settings: _Settings) -> int:
                 f"{row.difficulty.value:<12} {row.mode:<9} {row.correct:>7} "
                 f"{row.incorrect:>9} {row.accuracy_pct:>7.2f}"
             )
-        out = _pick(args.out, settings.get("run", "out"))
+        out = settings["run"].get("out")
         if out:
             write_stratified_csv(rows, Path(out) / "stratified.csv")
     if report.errored:
@@ -360,21 +322,17 @@ def _cmd_bench(args: argparse.Namespace, settings: _Settings) -> int:
     return 0
 
 
-def _cmd_ablate(args: argparse.Namespace, settings: _Settings) -> int:
-    questions = _resolve_dataset(args, settings)
+def _cmd_ablate(args: argparse.Namespace, settings: Settings) -> int:
+    chosen = ablation_presets()
     if args.presets:
         chosen = [(name.strip(), preset(name.strip())) for name in args.presets.split(",")]
-    else:
-        chosen = ablation_presets()
-    backend = _resolve_backend(args, settings)
+    presets = [(name, _pipeline(settings, config)) for name, config in chosen]
     rows = ablation_sweep(
-        questions,
-        backend,
-        _resolve_retriever(args, settings),
-        presets=chosen,
-        out_dir=_pick(args.out, settings.get("run", "out")),
-        parallelism=_pick(args.parallelism, settings.getint("run", "parallelism"), 1),
-        prompts=_resolve_prompts(args, settings),
+        _dataset(settings),
+        _backend(settings),
+        _retriever(settings),
+        presets=presets,
+        **_run_options(settings),
     )
     width = max(len(name) for name, _ in rows)
     print(f"{'preset':<{width}} {'acc%':>7} {'tokens/q':>9}")
@@ -383,7 +341,7 @@ def _cmd_ablate(args: argparse.Namespace, settings: _Settings) -> int:
             f"{name:<{width}} {report.accuracy_pct:>7.2f} "
             f"{report.mean_completion_tokens:>9.1f}"
         )
-    out = _pick(args.out, settings.get("run", "out"))
+    out = settings["run"].get("out")
     if out:
         write_ablation_csv(rows, Path(out) / "ablation.csv")
         write_accuracy_vs_tokens_csv(
@@ -395,14 +353,14 @@ def _cmd_ablate(args: argparse.Namespace, settings: _Settings) -> int:
     return 0
 
 
-def _cmd_index_build(args: argparse.Namespace, settings: _Settings) -> int:
-    index = build_index_from_corpus(args.corpus, k1=args.k1, b=args.b)
+def _cmd_index_build(args: argparse.Namespace, settings: Settings) -> int:
+    index = build_index_from_corpus(args.corpus, **settings["retrieval"])
     index.save(args.out)
     print(f"indexed {len(index.docs)} documents -> {args.out}")
     return 0
 
 
-def _cmd_trace_show(args: argparse.Namespace, settings: _Settings) -> int:
+def _cmd_trace_show(args: argparse.Namespace, settings: Settings) -> int:
     try:
         trace = json.loads(Path(args.path).read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:

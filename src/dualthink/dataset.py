@@ -21,6 +21,8 @@ from typing import Any
 from .errors import FormatError
 from .types import Difficulty, Question
 
+DATASET_KINDS = ("auto", "mcq", "open")
+
 
 @dataclass(frozen=True)
 class DatasetSpec:
@@ -32,7 +34,7 @@ class DatasetSpec:
     shuffle_seed: int | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("auto", "mcq", "open"):
+        if self.kind not in DATASET_KINDS:
             raise FormatError(f"dataset kind must be auto, mcq, or open; got {self.kind!r}")
         if self.limit is not None and self.limit < 1:
             raise FormatError(f"dataset limit must be >= 1, got {self.limit}")

@@ -63,7 +63,7 @@ class IngestError(DualThinkError):
 
 
 class FormatError(DualThinkError):
-    """A dataset file line is malformed; carries the 1-based line number."""
+    """A data file line is malformed; carries the 1-based line number."""
 
     def __init__(self, message: str, line: int | None = None):
         self.line = line

@@ -312,7 +312,8 @@ class PromptLibrary:
 
         An override file is either the user template alone, or a system text
         and user template separated by a line containing only ``---``. Its
-        user template must use exactly the default template's placeholders.
+        user template must use exactly the default template's placeholders,
+        and every other ``$`` must be written ``$$``.
         """
         directory = Path(path)
         if not directory.is_dir():
@@ -326,6 +327,9 @@ class PromptLibrary:
             system_text, user_template = _split_override(raw, templates[agent].system_text)
             if not user_template.strip():
                 raise TemplateError(f"override {file} has an empty user template")
+            matches = string.Template.pattern.finditer(user_template)
+            if any(m["invalid"] is not None for m in matches):
+                raise TemplateError(f"override {file} has a stray '$'; write '$$' for one")
             template = PromptTemplate(agent, system_text, user_template)
             found, wanted = template.placeholders(), templates[agent].placeholders()
             if found != wanted:

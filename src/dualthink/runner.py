@@ -5,15 +5,20 @@ pipeline configuration (rerunning with a different one is an error),
 ``results.jsonl`` grows one line per finished question, ``traces/`` holds
 the full reasoning trace per question, and ``report.json``/``report.csv``
 are rewritten at the end. Rerunning skips questions already present in
-``results.jsonl``.
+``results.jsonl``; a torn last line, left by a crash mid-append, is dropped
+and its question answered again. Every other file is written whole or not
+at all (see :func:`write_atomic`).
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import logging
+import os
 import threading
+import urllib.parse
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -21,7 +26,7 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .backend import LLMBackend
 from .engine import Engine
-from .errors import BackendError, ConfigError, ParseError
+from .errors import BackendError, ConfigError, FormatError, ParseError
 from .metrics import exact_match, f1
 from .presets import ablation_presets
 from .prompts import PromptLibrary
@@ -222,10 +227,7 @@ def run_benchmark(
         _check_config_snapshot(out_path / "config.json", config)
         results_path = out_path / "results.jsonl"
         if results_path.exists():
-            for line in results_path.read_text(encoding="utf-8").splitlines():
-                if line.strip():
-                    result = QuestionResult.from_dict(json.loads(line))
-                    existing[result.question_id] = result
+            existing = _load_results(results_path)
             if existing:
                 logger.info("resuming: %d results already on disk", len(existing))
 
@@ -234,7 +236,7 @@ def run_benchmark(
     write_lock = threading.Lock()
 
     def answer_one(question: Question) -> QuestionResult:
-        trace_path = str(traces_dir / f"{question.id}.json") if traces_dir else None
+        trace_path = str(traces_dir / trace_file_name(question.id)) if traces_dir else None
         try:
             outcome = engine.answer(question, config)
         except (ParseError, BackendError) as exc:
@@ -268,7 +270,7 @@ def run_benchmark(
                 usage_estimated=any(s.usage_estimated for s in trace.steps),
             )
         if trace_path:
-            Path(trace_path).write_text(json.dumps(trace.to_dict(), indent=2), encoding="utf-8")
+            write_atomic(Path(trace_path), json.dumps(trace.to_dict(), indent=2))
         if results_path:
             with write_lock:
                 with results_path.open("a", encoding="utf-8") as handle:
@@ -291,58 +293,94 @@ def run_benchmark(
     return report
 
 
+def trace_file_name(question_id: str) -> str:
+    """A file name inside ``traces/``, distinct for distinct ids: characters
+    outside ``[A-Za-z0-9._-]`` and a leading ``.`` are percent-encoded, so no
+    id can name ``..`` or a path; any other id keeps its spelling."""
+    name = urllib.parse.quote(question_id, safe="")
+    return ("%2E" + name[1:] if name.startswith(".") else name) + ".json"
+
+
+def _load_results(path: Path) -> dict[str, QuestionResult]:
+    """Results already on disk. A last line with no newline is a torn append:
+    it is cut off so its question runs again. Any other bad line is an error."""
+    data = path.read_bytes()
+    if data and not data.endswith(b"\n"):
+        keep = data.rfind(b"\n") + 1
+        logger.warning("%s: dropping a torn last line (%d bytes)", path, len(data) - keep)
+        os.truncate(path, keep)
+        data = data[:keep]
+    results = {}
+    for lineno, line in enumerate(data.split(b"\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            result = QuestionResult.from_dict(json.loads(line))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise FormatError(f"{path}: malformed result ({exc!r})", line=lineno) from exc
+        results[result.question_id] = result
+    return results
+
+
 def _check_config_snapshot(path: Path, config: PipelineConfig) -> None:
     snapshot = config.to_dict()
     if path.exists():
-        on_disk = json.loads(path.read_text(encoding="utf-8"))
+        try:
+            on_disk = json.loads(path.read_bytes())
+        except ValueError as exc:
+            raise ConfigError(f"{path} is not valid JSON ({exc})") from exc
         if on_disk != snapshot:
             raise ConfigError(
                 f"{path} holds a different configuration; "
                 "use a fresh output directory or the original config"
             )
     else:
-        path.write_text(json.dumps(snapshot, indent=2), encoding="utf-8")
+        write_atomic(path, json.dumps(snapshot, indent=2))
+
+
+def write_atomic(path: Path, text: str) -> None:
+    """Write ``text`` to a sibling temp file, then rename it over ``path``, so
+    a crash leaves the old file or the new one, never half of one. The temp
+    name ends in ``.tmp``, never ``.json``."""
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(text, encoding="utf-8", newline="")
+    os.replace(tmp, path)
+
+
+def _write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    writer.writerow(header)
+    writer.writerows(rows)
+    write_atomic(Path(path), buffer.getvalue())
 
 
 def write_report(report: Report, out_dir: Path) -> None:
-    (out_dir / "report.json").write_text(
-        json.dumps(report.to_dict(), indent=2), encoding="utf-8"
-    )
-    with (out_dir / "report.csv").open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
+    write_atomic(out_dir / "report.json", json.dumps(report.to_dict(), indent=2))
+    _write_csv(
+        out_dir / "report.csv",
+        (
+            "question_id kind predicted gold correct em f1 system2_triggered "
+            "prompt_tokens completion_tokens difficulty error"
+        ).split(),
+        (
             [
-                "question_id",
-                "kind",
-                "predicted",
-                "gold",
-                "correct",
-                "em",
-                "f1",
-                "system2_triggered",
-                "prompt_tokens",
-                "completion_tokens",
-                "difficulty",
-                "error",
+                r.question_id,
+                r.kind.value,
+                r.predicted if r.predicted is not None else "",
+                r.gold if r.gold is not None else "",
+                "" if r.correct is None else str(r.correct).lower(),
+                "" if r.em is None else r.em,
+                "" if r.f1 is None else r.f1,
+                str(r.system2_triggered).lower(),
+                r.usage.prompt_tokens,
+                r.usage.completion_tokens,
+                r.difficulty.value if r.difficulty else "",
+                r.error or "",
             ]
-        )
-        for r in report.results:
-            writer.writerow(
-                [
-                    r.question_id,
-                    r.kind.value,
-                    r.predicted if r.predicted is not None else "",
-                    r.gold if r.gold is not None else "",
-                    "" if r.correct is None else str(r.correct).lower(),
-                    "" if r.em is None else r.em,
-                    "" if r.f1 is None else r.f1,
-                    str(r.system2_triggered).lower(),
-                    r.usage.prompt_tokens,
-                    r.usage.completion_tokens,
-                    r.difficulty.value if r.difficulty else "",
-                    r.error or "",
-                ]
-            )
+            for r in report.results
+        ),
+    )
 
 
 # --- stratified trigger table -------------------------------------------
@@ -390,13 +428,11 @@ def stratified_trigger_report(results: Iterable[QuestionResult]) -> list[Stratum
 
 
 def write_stratified_csv(rows: Sequence[StratumRow], path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["difficulty", "mode", "correct", "incorrect", "accuracy_pct"])
-        for row in rows:
-            writer.writerow(
-                [row.difficulty.value, row.mode, row.correct, row.incorrect, row.accuracy_pct]
-            )
+    _write_csv(
+        path,
+        ["difficulty", "mode", "correct", "incorrect", "accuracy_pct"],
+        ([r.difficulty.value, r.mode, r.correct, r.incorrect, r.accuracy_pct] for r in rows),
+    )
 
 
 # --- ablation sweep -------------------------------------------------------
@@ -445,13 +481,11 @@ def _slug(name: str) -> str:
 
 
 def write_ablation_csv(rows: Sequence[tuple[str, Report]], path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["preset", "questions", "accuracy_pct", "em_pct", "f1_pct"])
-        for name, report in rows:
-            writer.writerow(
-                [name, len(report.results), report.accuracy_pct, report.em_pct, report.f1_pct]
-            )
+    _write_csv(
+        path,
+        ["preset", "questions", "accuracy_pct", "em_pct", "f1_pct"],
+        ([name, len(r.results), r.accuracy_pct, r.em_pct, r.f1_pct] for name, r in rows),
+    )
 
 
 # --- cost/quality tradeoff -------------------------------------------------
@@ -473,8 +507,4 @@ def accuracy_vs_tokens(
 def write_accuracy_vs_tokens_csv(
     rows: Sequence[tuple[str, float, float]], path: str | Path
 ) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["name", "mean_completion_tokens", "accuracy_pct"])
-        for name, tokens, accuracy in rows:
-            writer.writerow([name, tokens, accuracy])
+    _write_csv(path, ["name", "mean_completion_tokens", "accuracy_pct"], rows)

@@ -5,7 +5,6 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import pytest
 
 from dualthink.backend import (
-    BackendSpec,
     ChatRequest,
     HttpChatBackend,
     RetryPolicy,
@@ -252,18 +251,3 @@ def test_http_malformed_body_is_a_backend_error(http_stub):
 
     with pytest.raises(BackendError):
         backend.complete(ChatRequest(system_text="s", user_text="u"))
-
-
-def test_backend_spec_builds_both_kinds(tmp_path):
-    http = BackendSpec(kind="http", endpoint="http://x", model="m").build()
-    assert isinstance(http, HttpChatBackend)
-    script_file = tmp_path / "s.json"
-    script_file.write_text(json.dumps(["a"]), encoding="utf-8")
-    scripted = BackendSpec(kind="scripted", script_path=str(script_file)).build()
-    assert isinstance(scripted, ScriptedBackend)
-    with pytest.raises(ConfigError):
-        BackendSpec(kind="scripted").build()
-    with pytest.raises(ConfigError):
-        BackendSpec(kind="telepathy").build()
-    with pytest.raises(ConfigError):
-        BackendSpec(kind="http", endpoint="", model="m").build()

@@ -1,8 +1,12 @@
+import argparse
 import json
 
 import pytest
 
-from dualthink.cli import main
+import dualthink.cli
+from dualthink.backend import RetryPolicy
+from dualthink.cli import build_parser, main
+from dualthink.errors import BackendError
 from dualthink.presets import preset
 from dualthink.retrieval import BM25Index
 from dualthink.types import PipelineConfig, Question, Verdict
@@ -209,6 +213,94 @@ def test_missing_config_file_exits_two(capsys):
     assert "config file not found" in capsys.readouterr().err
 
 
+def ask_with_config(tmp_path, config_text, *flags, backend="scripted"):
+    question = Question(id="cli", text="Which gas dominates air?")
+    script = write_script(tmp_path / "s.json", entries_for(question, S1_ONLY, "nitrogen"))
+    config_path = tmp_path / "dualthink.ini"
+    config_path.write_text(config_text, encoding="utf-8")
+    argv = ["--config", str(config_path), "ask", question.text, "--preset", "System 1"]
+    return main(argv + ["--backend", backend, "--script", script, *flags])
+
+
+@pytest.mark.parametrize(
+    "config_text, named",
+    [
+        ("[pipeline]\nk_retrieval = abc\n", "[pipeline] k_retrieval = 'abc' is not a valid int"),
+        ("[pipeline]\nforce_system2 = maybe\n", "[pipeline] force_system2 = 'maybe'"),
+        ("[backend]\nkind = telepathy\n", "[backend] kind = 'telepathy'"),
+        ("[pipeline]\nk = 3\n", "unknown setting [pipeline] k"),
+        ("[pipeline]\nmax_subquestion = 2\n", "unknown setting [pipeline] max_subquestion"),
+        ("[backnd]\n", "unknown section [backnd]"),
+        ("[DEFAULT]\nk_retrieval = abc\n", "unknown section [DEFAULT]"),
+    ],
+    ids=["int", "bool", "choice", "unknown-key", "misspelt-key", "unknown-section", "default"],
+)
+def test_bad_config_values_and_unknown_keys_exit_two(tmp_path, capsys, config_text, named):
+    assert ask_with_config(tmp_path, config_text) == 2
+    assert named in capsys.readouterr().err
+
+
+def test_backend_settings_build_both_kinds(tmp_path, monkeypatch, capsys):
+    built = []
+
+    class RecordingHttp:
+        def __init__(self, *args, **kwargs):
+            built.append((args, kwargs))
+
+        def complete(self, request):
+            raise BackendError("offline")
+
+    config = "[backend]\nendpoint = http://x\nmodel = m\ntimeout = 5\nmax_attempts = 2\n"
+    monkeypatch.setattr(dualthink.cli, "HttpChatBackend", RecordingHttp)
+    assert ask_with_config(tmp_path, config, "--api-key-env", "K", backend="http") == 1
+    assert built == [
+        (("http://x", "m"), {"api_key_env": "K", "timeout": 5.0, "retry": RetryPolicy(2)})
+    ]
+    monkeypatch.undo()
+    assert ask_with_config(tmp_path, config, "--timeout", "9") == 0
+    capsys.readouterr()
+    for config_text, flags, message in (
+        ("[backend]\nkind = scripted\n", [], "needs --script"),
+        ("[backend]\nkind = telepathy\n", [], "[backend] kind"),
+        ("[backend]\nendpoint =\nmodel = m\n", ["--backend", "http"], "endpoint"),
+    ):
+        (tmp_path / "bad.ini").write_text(config_text, encoding="utf-8")
+        argv = ["--config", str(tmp_path / "bad.ini"), "ask", "Hm?", *flags]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+
+
+def subcommand_flags(*path):
+    parser = build_parser()
+    for name in path:
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        parser = sub.choices[name]
+    return {flag for action in parser._actions for flag in action.option_strings} - {"-h", "--help"}
+
+
+_RUN_FLAGS = {
+    "--k", "--max-subquestions", "--max-hypotheses", "--max-parse-retries", "--temperature",
+    "--max-tokens", "--prompt-dir", "--backend", "--endpoint", "--model", "--api-key-env",
+    "--timeout", "--script", "--index", "--corpus", "--k1", "--b",
+}
+_DATA_FLAGS = {"--dataset", "--dataset-kind", "--limit", "--shuffle-seed", "--out", "--parallelism"}
+
+
+@pytest.mark.parametrize(
+    "path, flags",
+    [
+        (("ask",), _RUN_FLAGS | {"--preset", "--force-system2", "--option", "--trace"}),
+        (("bench",), _RUN_FLAGS | _DATA_FLAGS | {"--preset", "--force-system2", "--name", "--stratified"}),
+        (("ablate",), _RUN_FLAGS | _DATA_FLAGS | {"--presets"}),
+        (("index", "build"), {"--corpus", "--out", "--k1", "--b"}),
+        (("trace", "show"), {"--full"}),
+    ],
+    ids=["ask", "bench", "ablate", "index-build", "trace-show"],
+)
+def test_each_subcommand_has_its_flag_set(path, flags):
+    assert subcommand_flags(*path) == flags
+
+
 # --- bench ------------------------------------------------------------------------
 
 
@@ -361,6 +453,22 @@ def test_ablate_named_presets_writes_summary_tables(tmp_path, capsys):
     assert (out / "system-1" / "report.json").is_file()
 
 
+def test_ablate_applies_pipeline_settings_to_each_preset(tmp_path, capsys):
+    rows = mcq_rows(2)
+    dataset = write_dataset(tmp_path / "data.jsonl", rows)
+    answers = {"q01": "A", "q02": "A"}
+    entries = entries_for_many(dataset_questions(rows), preset("System 1"), answers)
+    script = write_script(tmp_path / "s.json", entries)
+    out = tmp_path / "d"
+    config_path = tmp_path / "dualthink.ini"
+    config_path.write_text("[pipeline]\ntemperature = 0.5\n", encoding="utf-8")
+    argv = ["--config", str(config_path), "ablate", "--dataset", dataset, "--presets", "System 1"]
+    argv += ["--max-tokens", "64", "--backend", "scripted", "--script", script, "--out", str(out)]
+    assert main(argv) == 0
+    config = json.loads((out / "system-1" / "config.json").read_text(encoding="utf-8"))
+    assert (config["max_tokens"], config["temperature"]) == (64, 0.5)
+
+
 # --- index -------------------------------------------------------------------------
 
 
@@ -381,6 +489,13 @@ def test_index_build_writes_a_loadable_snapshot(tmp_path, capsys):
     index = BM25Index.load(out)
     hits = index.search("eiffel tower", k=2)
     assert [h.doc_id for h in hits] == ["d1"]
+
+    config_path = tmp_path / "dualthink.ini"
+    config_path.write_text("[retrieval]\nk1 = 2.0\nb = 0.5\n", encoding="utf-8")
+    argv = ["--config", str(config_path), "index", "build", "--corpus", str(corpus)]
+    assert main(argv + ["--out", str(out), "--b", "0.25"]) == 0
+    index = BM25Index.load(out)
+    assert (index.k1, index.b) == (2.0, 0.25)
 
 
 def test_index_build_rejects_a_bad_corpus(tmp_path, capsys):

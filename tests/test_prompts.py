@@ -50,11 +50,16 @@ def test_missing_placeholder_raises_template_error():
 
 
 def test_unknown_placeholder_in_override_is_rejected_at_load(tmp_path):
-    (tmp_path / "quick.txt").write_text(
-        "Question: ${question}${answer_hint} ${bogus}", encoding="utf-8"
-    )
-    with pytest.raises(TemplateError, match=r"unknown \['bogus'\]"):
-        PromptLibrary.from_dir(tmp_path)
+    decision = "${question}\n${context}${answer_hint}\n${ranking_instruction}"
+    for name, text, message in (
+        ("quick", "Question: ${question}${answer_hint} ${bogus}", r"unknown \['bogus'\]"),
+        ("decision", decision + "\nit costs $5", r"decision\.txt has a stray '\$'"),
+    ):
+        directory = tmp_path / name
+        directory.mkdir()
+        (directory / f"{name}.txt").write_text(text, encoding="utf-8")
+        with pytest.raises(TemplateError, match=message):
+            PromptLibrary.from_dir(directory)
 
 
 def test_override_missing_a_default_placeholder_is_rejected_at_load(tmp_path):

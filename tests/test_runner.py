@@ -1,11 +1,12 @@
 import csv
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
 from dualthink.backend import ScriptEntry, ScriptedBackend
-from dualthink.errors import ConfigError
+from dualthink.errors import ConfigError, FormatError
 from dualthink.presets import preset
 from dualthink.runner import (
     QuestionResult,
@@ -13,6 +14,7 @@ from dualthink.runner import (
     ablation_sweep,
     run_benchmark,
     score_result,
+    write_atomic,
 )
 from dualthink.types import (
     Difficulty,
@@ -258,6 +260,81 @@ def test_changed_config_is_rejected_for_an_existing_run_dir(tmp_path):
     other = dataclasses.replace(S1_ONLY, max_parse_retries=5)
     with pytest.raises(ConfigError, match="different configuration"):
         run_benchmark(questions, other, ScriptedBackend([]), out_dir=out)
+
+
+def test_unsafe_question_ids_get_distinct_trace_files_inside_traces(tmp_path):
+    questions = [
+        dataclasses.replace(make_mcq(i), id=qid)
+        for i, qid in enumerate(["../escape", "a/b", "..", ".x", "q00001"], start=1)
+    ]
+    answers = {q.id: "A" for q in questions}
+    out = tmp_path / "run"
+    backend = ScriptedBackend(entries_for_many(questions, S1_ONLY, answers))
+    report = run_benchmark(questions, S1_ONLY, backend, out_dir=out)
+    traces = out / "traces"
+    files = sorted(traces.iterdir())
+    assert len(files) == 5
+    assert traces / "q00001.json" in files
+    assert sorted(tmp_path.rglob("*.json")) == sorted(files + [out / "config.json", out / "report.json"])
+    for result in report.results:
+        path = traces / Path(result.trace_path).name
+        assert str(path) == result.trace_path
+        assert json.loads(path.read_text(encoding="utf-8"))["question_id"] == result.question_id
+
+
+def test_resume_drops_a_torn_last_line_and_answers_that_question_again(tmp_path, caplog):
+    questions = [make_mcq(i, gold="A") for i in (1, 2)]
+    answers = {q.id: "A" for q in questions}
+    out = tmp_path / "run"
+    backend = ScriptedBackend(entries_for_many(questions, S1_ONLY, answers))
+    run_benchmark(questions, S1_ONLY, backend, out_dir=out)
+    results = out / "results.jsonl"
+    lines = results.read_text(encoding="utf-8").splitlines(keepends=True)
+    torn = next(line for line in lines if '"q02"' in line)
+    kept = [line for line in lines if line is not torn]
+    results.write_text("".join(kept) + torn[: len(torn) // 2], encoding="utf-8")
+
+    again = ScriptedBackend(entries_for_many(questions[1:], S1_ONLY, answers))
+    report = run_benchmark(questions, S1_ONLY, again, out_dir=out)
+    assert again.remaining == 0
+    assert "torn last line" in caplog.text
+    assert not report.errored and len(report.results) == 2
+    rows = [json.loads(line) for line in results.read_text(encoding="utf-8").splitlines()]
+    assert sorted(row["question_id"] for row in rows) == ["q01", "q02"]
+
+
+def test_resume_rejects_a_malformed_run_directory(tmp_path):
+    questions = [make_mcq(i, gold="A") for i in (1, 2)]
+    answers = {q.id: "A" for q in questions}
+    out = tmp_path / "run"
+    backend = ScriptedBackend(entries_for_many(questions, S1_ONLY, answers))
+    run_benchmark(questions, S1_ONLY, backend, out_dir=out)
+    results = out / "results.jsonl"
+    good = results.read_text(encoding="utf-8")
+    results.write_text("{not json\n" + good, encoding="utf-8")
+    with pytest.raises(FormatError, match=r"line 1: .*results\.jsonl"):
+        run_benchmark(questions, S1_ONLY, ScriptedBackend([]), out_dir=out)
+    results.write_text(good, encoding="utf-8")
+    (out / "config.json").write_text('{"stages": [', encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"config\.json is not valid JSON"):
+        run_benchmark(questions, S1_ONLY, ScriptedBackend([]), out_dir=out)
+
+
+def test_write_atomic_replaces_whole_files_and_leaves_no_temp(tmp_path, monkeypatch):
+    path = tmp_path / "report.json"
+    write_atomic(path, "first")
+    write_atomic(path, "second\r\n")
+    assert path.read_bytes() == b"second\r\n"
+    assert list(tmp_path.iterdir()) == [path]
+
+    def crash(src, dst):
+        raise OSError("crash before rename")
+
+    monkeypatch.setattr("dualthink.runner.os.replace", crash)
+    with pytest.raises(OSError):
+        write_atomic(path, "third")
+    assert path.read_bytes() == b"second\r\n"
+    assert not any(p.name.endswith(".json") and p != path for p in tmp_path.iterdir())
 
 
 # --- ablation sweep -------------------------------------------------------------
