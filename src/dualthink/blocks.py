@@ -9,38 +9,13 @@ A block looks like::
 
 Prose outside the fences is ignored. Inside, every non-blank line must be
 ``KEY: value``; keys are case/whitespace-insensitive and must be unique.
+:func:`parse_block` returns the entries as a plain dict in source order;
+what the keys mean is left to the per-agent readers in ``parsers``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import ParseError
-
-
-@dataclass(frozen=True)
-class StructuredBlock:
-    """Parsed block: its tag plus entries in source order (keys normalized)."""
-
-    tag: str
-    entries: tuple[tuple[str, str], ...]
-
-    def get(self, key: str, default: str | None = None) -> str | None:
-        normalized = normalize_key(key)
-        for k, v in self.entries:
-            if k == normalized:
-                return v
-        return default
-
-    def require(self, key: str) -> str:
-        value = self.get(key)
-        if value is None:
-            raise ParseError(f"missing required key {normalize_key(key)!r}")
-        return value
-
-    @property
-    def keys(self) -> tuple[str, ...]:
-        return tuple(k for k, _ in self.entries)
 
 
 def normalize_key(key: str) -> str:
@@ -48,44 +23,40 @@ def normalize_key(key: str) -> str:
     return " ".join(key.upper().split())
 
 
-def parse_block(raw: str, tag: str) -> StructuredBlock:
+def parse_block(raw: str, tag: str) -> dict[str, str]:
     """Extract the single ``BEGIN tag``/``END tag`` block from a completion.
 
-    Raises ParseError if the block is missing, unterminated, duplicated,
-    or contains a malformed or duplicate entry.
+    Returns its entries as ``{normalized key: stripped value}`` in source
+    order. Raises ParseError if the block is missing, unterminated,
+    duplicated, or contains a malformed or duplicate entry.
     """
     begin_marker = f"BEGIN {tag}"
     end_marker = f"END {tag}"
-    lines = raw.splitlines()
-    begin_indices = [i for i, line in enumerate(lines) if line.strip() == begin_marker]
+    lines = [line.strip() for line in raw.splitlines()]
+    begin_indices = [i for i, line in enumerate(lines) if line == begin_marker]
     if not begin_indices:
         raise ParseError(f"no {begin_marker!r} line found")
     if len(begin_indices) > 1:
         raise ParseError(f"multiple {begin_marker!r} lines found; expected exactly one")
     start = begin_indices[0]
-    end = next(
-        (i for i in range(start + 1, len(lines)) if lines[i].strip() == end_marker),
-        None,
-    )
+    end = next((i for i in range(start + 1, len(lines)) if lines[i] == end_marker), None)
     if end is None:
         raise ParseError(f"{begin_marker!r} without matching {end_marker!r}")
 
-    entries: list[tuple[str, str]] = []
-    seen: set[str] = set()
+    entries: dict[str, str] = {}
     for line in lines[start + 1 : end]:
-        if not line.strip():
+        if not line:
             continue
         key, sep, value = line.partition(":")
         if not sep:
-            raise ParseError(f"line inside {tag} block has no ':' separator: {line.strip()!r}")
+            raise ParseError(f"line inside {tag} block has no ':' separator: {line!r}")
         normalized = normalize_key(key)
         if not normalized:
-            raise ParseError(f"line inside {tag} block has an empty key: {line.strip()!r}")
-        if normalized in seen:
+            raise ParseError(f"line inside {tag} block has an empty key: {line!r}")
+        if normalized in entries:
             raise ParseError(f"duplicate key {normalized!r} inside {tag} block")
-        seen.add(normalized)
-        entries.append((normalized, value.strip()))
-    return StructuredBlock(tag=tag, entries=tuple(entries))
+        entries[normalized] = value.strip()
+    return entries
 
 
 def format_block(tag: str, entries: list[tuple[str, str]] | tuple[tuple[str, str], ...]) -> str:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping
+from typing import Any, Callable
 
 from .backend import ChatRequest, LLMBackend
 from .errors import BackendError, ConfigError, ParseError
@@ -272,23 +272,17 @@ _STAGES: dict[Agent, _Stage] = {
 
 
 class Engine:
-    """Binds a backend, an optional retriever, and a prompt library.
-
-    ``agent_backends`` routes individual agents to different backends;
-    anything unlisted uses the shared default.
-    """
+    """Binds a backend, an optional retriever, and a prompt library."""
 
     def __init__(
         self,
         backend: LLMBackend,
         retriever: Retriever | None = None,
         prompts: PromptLibrary | None = None,
-        agent_backends: Mapping[Agent, LLMBackend] | None = None,
     ):
         self._backend = backend
         self._retriever = retriever
         self._prompts = prompts or PromptLibrary.default()
-        self._agent_backends = dict(agent_backends or {})
 
     def answer(self, question: Question, config: PipelineConfig | None = None) -> AnswerResult:
         """Answer one question.
@@ -359,7 +353,6 @@ class Engine:
         stage = _STAGES[agent]
         config = run.config
         system_text, user_text = self._prompts.get(agent).render(**stage.values(run))
-        backend = self._agent_backends.get(agent, self._backend)
         prompt_text = user_text
         for attempt in range(1, config.max_parse_retries + 2):
             request = ChatRequest(
@@ -370,7 +363,7 @@ class Engine:
             )
             started = time.monotonic()
             try:
-                completion = backend.complete(request)
+                completion = self._backend.complete(request)
             except BackendError as exc:
                 if exc.agent is None:
                     exc.agent = agent.value

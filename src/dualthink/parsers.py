@@ -1,20 +1,20 @@
 """Per-agent parsing of fenced blocks into domain values, and the inverses.
 
-Each ``parse_*`` takes the raw completion text plus whatever context is
-needed to validate references (plan ids, document ids, hypothesis ids) and
-returns domain objects, raising ParseError with a reason suitable for
-feeding back to the model on retry. Each ``serialize_*`` renders domain
-objects into the canonical block form; parse(serialize(x)) recovers x for
-any payload whose strings are single-line and comma-free where ids meet
-commas.
+Each ``parse_*`` reads its block through one record reader, :func:`_read_block`,
+then checks what is specific to its agent (references to plan, document and
+hypothesis ids, option labels, limits, statuses) and returns domain objects,
+raising ParseError with a reason suitable for feeding back to the model on
+retry. Each ``serialize_*`` renders domain objects into the canonical block
+form; parse(serialize(x)) recovers x for any payload whose strings are
+single-line and comma-free where ids meet commas.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
-from .blocks import StructuredBlock, format_block, parse_block
+from .blocks import format_block, parse_block
 from .errors import ParseError
 from .types import (
     Decision,
@@ -36,6 +36,47 @@ _LEADING_WRAP = "([{'\""
 _TRAILING_WRAP = ")]}.:;,'\"-"
 
 
+def _read_block(
+    raw: str, tag: str, pattern: str | None = None, singles: tuple[str, ...] = ()
+) -> tuple[dict[str, str], dict[Any, dict[Any, str]]]:
+    """Read the ``tag`` block into its single lines and its numbered fields.
+
+    Returns ``(single values by key, {id: {part: value}})``. A key listed in
+    ``singles`` is a single line; any other key must fully match
+    ``pattern``, whose ``id`` group and optional ``part`` group (None when
+    absent) name the field. Groups made of digits become ints, so ``P1.Q1``
+    and ``P1.Q01`` name the same field; a field given twice is a ParseError,
+    and so is a key that is neither a single line nor a field.
+    """
+    block = parse_block(raw, tag)
+    fields: dict[Any, dict[Any, str]] = {}
+    for key, value in block.items():
+        if key in singles:
+            continue
+        match = re.fullmatch(pattern, key) if pattern else None
+        if not match:
+            raise ParseError(f"unexpected key in {tag} block: {key!r}")
+        field_id, part = (
+            int(group) if group and group.isdecimal() else group
+            for group in (match["id"], match.groupdict().get("part"))
+        )
+        parts = fields.setdefault(field_id, {})
+        if part in parts:
+            raise ParseError(f"{key!r} repeats a field already given in the {tag} block")
+        parts[part] = value
+    return {key: block[key] for key in singles if key in block}, fields
+
+
+def _field(values: Mapping[Any, str], key: Any, what: str, allow_empty: bool = False) -> str:
+    """``values[key]``; a missing line, or an empty one, is a ParseError."""
+    value = values.get(key)
+    if value is None:
+        raise ParseError(f"missing the {what} line")
+    if not value and not allow_empty:
+        raise ParseError(f"{what} must not be empty")
+    return value
+
+
 def _split_ids(value: str, what: str) -> tuple[str, ...]:
     items = [item.strip() for item in value.split(",") if item.strip()]
     if len(set(items)) != len(items):
@@ -44,7 +85,7 @@ def _split_ids(value: str, what: str) -> tuple[str, ...]:
 
 
 def _contiguous_indices(indices: Iterable[int], what: str) -> list[int]:
-    ordered = sorted(set(indices))
+    ordered = sorted(indices)
     if not ordered:
         raise ParseError(f"no {what} found in block")
     if ordered[0] != 1 or ordered[-1] != len(ordered):
@@ -52,47 +93,27 @@ def _contiguous_indices(indices: Iterable[int], what: str) -> list[int]:
     return ordered
 
 
-def _require_nonempty(value: str, what: str) -> str:
-    if not value:
-        raise ParseError(f"{what} must not be empty")
-    return value
+def _find_label(text: str, labels: Sequence[str]) -> str | None:
+    """The option label ``text`` names, compared case-insensitively."""
+    folded = text.casefold()
+    return next((label for label in labels if label.casefold() == folded), None)
 
 
 # --- quick pass ---------------------------------------------------------
 
 
 def parse_quick(raw: str) -> QuickAnswer:
-    block = parse_block(raw, "QUICK")
-    subq: dict[int, str] = {}
-    suba: dict[int, str] = {}
-    answer: str | None = None
-    for key, value in block.entries:
-        if key == "ANSWER":
-            answer = value
-            continue
-        match = re.fullmatch(r"S([QA])(\d+)", key)
-        if not match:
-            raise ParseError(f"unexpected key in QUICK block: {key!r}")
-        target = subq if match.group(1) == "Q" else suba
-        target[int(match.group(2))] = value
-    if answer is None:
-        raise ParseError("QUICK block is missing the ANSWER line")
-    _require_nonempty(answer, "ANSWER")
-    indices = _contiguous_indices(subq.keys() | suba.keys(), "SQn/SAn steps")
-    steps = []
-    for i in indices:
-        if i not in subq:
-            raise ParseError(f"SA{i} has no matching SQ{i}")
-        if i not in suba:
-            raise ParseError(f"SQ{i} has no matching SA{i}")
-        steps.append(
-            SubStep(
-                index=i,
-                subquestion=_require_nonempty(subq[i], f"SQ{i}"),
-                subanswer=_require_nonempty(suba[i], f"SA{i}"),
-            )
+    singles, fields = _read_block(raw, "QUICK", r"S(?P<part>[QA])(?P<id>\d+)", ("ANSWER",))
+    answer = _field(singles, "ANSWER", "ANSWER")
+    steps = tuple(
+        SubStep(
+            index=i,
+            subquestion=_field(fields[i], "Q", f"SQ{i}"),
+            subanswer=_field(fields[i], "A", f"SA{i}"),
         )
-    return QuickAnswer(steps=tuple(steps), final_answer=answer)
+        for i in _contiguous_indices(fields, "SQn/SAn steps")
+    )
+    return QuickAnswer(steps=steps, final_answer=answer)
 
 
 def serialize_quick(quick: QuickAnswer) -> str:
@@ -108,15 +129,12 @@ def serialize_quick(quick: QuickAnswer) -> str:
 
 
 def parse_reflection(raw: str, valid_steps: Sequence[int] = ()) -> ReflectionVerdict:
-    block = parse_block(raw, "REFLECTION")
-    for key in block.keys:
-        if key not in ("DECISION", "RATIONALE", "FLAGGED"):
-            raise ParseError(f"unexpected key in REFLECTION block: {key!r}")
-    decision_raw = block.require("DECISION").upper()
+    singles, _ = _read_block(raw, "REFLECTION", singles=("DECISION", "RATIONALE", "FLAGGED"))
+    decision_raw = _field(singles, "DECISION", "DECISION").upper()
     if decision_raw not in ("ACCEPT", "ESCALATE"):
         raise ParseError(f"DECISION must be ACCEPT or ESCALATE, got {decision_raw!r}")
     flagged: list[int] = []
-    for item in _split_ids(block.get("FLAGGED", "") or "", "FLAGGED"):
+    for item in _split_ids(singles.get("FLAGGED", ""), "FLAGGED"):
         if not item.isdigit():
             raise ParseError(f"FLAGGED entries must be step numbers, got {item!r}")
         flagged.append(int(item))
@@ -126,7 +144,7 @@ def parse_reflection(raw: str, valid_steps: Sequence[int] = ()) -> ReflectionVer
             raise ParseError(f"FLAGGED references unknown steps: {unknown}")
     return ReflectionVerdict(
         decision=Verdict.ACCEPT if decision_raw == "ACCEPT" else Verdict.ESCALATE,
-        rationale=block.get("RATIONALE", "") or "",
+        rationale=singles.get("RATIONALE", ""),
         flagged_steps=tuple(flagged),
     )
 
@@ -144,22 +162,14 @@ def serialize_reflection(verdict: ReflectionVerdict) -> str:
 
 
 def parse_plan(raw: str, max_subquestions: int) -> Plan:
-    block = parse_block(raw, "PLAN")
-    numbered: dict[int, str] = {}
-    for key, value in block.entries:
-        match = re.fullmatch(r"P?(\d+)", key)
-        if not match:
-            raise ParseError(f"unexpected key in PLAN block: {key!r}")
-        index = int(match.group(1))
-        if index in numbered:
-            raise ParseError(f"duplicate plan item P{index}")
-        numbered[index] = _require_nonempty(value, f"P{index}")
-    indices = _contiguous_indices(numbered.keys(), "plan items")
+    _, fields = _read_block(raw, "PLAN", r"P?(?P<id>\d+)")
+    indices = _contiguous_indices(fields, "plan items")
     if len(indices) > max_subquestions:
         raise ParseError(
             f"plan has {len(indices)} subquestions; at most {max_subquestions} allowed"
         )
-    return Plan(subquestions=tuple(PlanItem(f"P{i}", numbered[i]) for i in indices))
+    items = tuple(PlanItem(f"P{i}", _field(fields[i], None, f"P{i}")) for i in indices)
+    return Plan(subquestions=items)
 
 
 def serialize_plan(plan: Plan) -> str:
@@ -170,46 +180,26 @@ def serialize_plan(plan: Plan) -> str:
 
 
 def parse_search(raw: str, plan: Plan) -> tuple[SearchDecision, ...]:
-    block = parse_block(raw, "SEARCH")
-    plan_ids = set(plan.ids)
-    verdicts: dict[str, bool] = {}
-    queries: dict[str, dict[int, str]] = {pid: {} for pid in plan.ids}
-    for key, value in block.entries:
-        query_match = re.fullmatch(r"(P\d+)\.Q(\d+)", key)
-        if query_match:
-            pid = query_match.group(1)
-            if pid not in plan_ids:
-                raise ParseError(f"query for unknown plan item {pid!r}")
-            queries[pid][int(query_match.group(2))] = _require_nonempty(value, key)
-            continue
-        if re.fullmatch(r"P\d+", key):
-            if key not in plan_ids:
-                raise ParseError(f"verdict for unknown plan item {key!r}")
-            verdict = value.upper()
-            if verdict not in ("RETRIEVE", "INTERNAL"):
-                raise ParseError(
-                    f"{key} must be RETRIEVE or INTERNAL, got {value!r}"
-                )
-            verdicts[key] = verdict == "RETRIEVE"
-            continue
-        raise ParseError(f"unexpected key in SEARCH block: {key!r}")
-    missing = [pid for pid in plan.ids if pid not in verdicts]
-    if missing:
-        raise ParseError(f"no RETRIEVE/INTERNAL verdict for: {missing}")
+    _, fields = _read_block(raw, "SEARCH", r"(?P<id>P\d+)(?:\.Q(?P<part>\d+))?")
+    unknown = [pid for pid in fields if pid not in plan.ids]
+    if unknown:
+        raise ParseError(f"verdicts or queries for unknown plan items: {unknown}")
     decisions = []
     for pid in plan.ids:
-        indices = queries[pid]
-        if indices:
-            ordered = _contiguous_indices(indices.keys(), f"queries for {pid}")
-            query_list = tuple(indices[i] for i in ordered)
-        else:
-            query_list = ()
-        if verdicts[pid] and not query_list:
+        numbered = fields.get(pid, {})
+        verdict = _field(numbered, None, pid)
+        del numbered[None]
+        if verdict.upper() not in ("RETRIEVE", "INTERNAL"):
+            raise ParseError(f"{pid} must be RETRIEVE or INTERNAL, got {verdict!r}")
+        retrieve = verdict.upper() == "RETRIEVE"
+        if retrieve and not numbered:
             raise ParseError(f"{pid} is marked RETRIEVE but has no {pid}.Q1 query line")
-        if not verdicts[pid] and query_list:
+        if not retrieve and numbered:
             raise ParseError(f"{pid} is marked INTERNAL but has query lines")
+        indices = _contiguous_indices(numbered, f"queries for {pid}") if retrieve else ()
+        queries = tuple(_field(numbered, j, f"{pid}.Q{j}") for j in indices)
         decisions.append(
-            SearchDecision(subquestion_id=pid, needs_retrieval=verdicts[pid], queries=query_list)
+            SearchDecision(subquestion_id=pid, needs_retrieval=retrieve, queries=queries)
         )
     return tuple(decisions)
 
@@ -230,36 +220,22 @@ def serialize_search(decisions: Sequence[SearchDecision]) -> str:
 
 def parse_reading(raw: str, available: Mapping[str, Sequence[str]]) -> tuple[KeyInsight, ...]:
     """``available`` maps each plan id to the doc ids retrieved for it."""
-    block = parse_block(raw, "READING")
-    fields: dict[int, dict[str, str]] = {}
-    for key, value in block.entries:
-        match = re.fullmatch(r"K(\d+) (SUBQUESTION|SOURCES|TEXT)", key)
-        if not match:
-            raise ParseError(f"unexpected key in READING block: {key!r}")
-        fields.setdefault(int(match.group(1)), {})[match.group(2)] = value
-    indices = _contiguous_indices(fields.keys(), "insights")
+    _, fields = _read_block(raw, "READING", r"K(?P<id>\d+) (?P<part>SUBQUESTION|SOURCES|TEXT)")
     insights = []
-    for i in indices:
+    for i in _contiguous_indices(fields, "insights"):
         parts = fields[i]
-        for part in ("SUBQUESTION", "SOURCES", "TEXT"):
-            if part not in parts:
-                raise ParseError(f"insight K{i} is missing its {part} line")
-        sq_id = parts["SUBQUESTION"]
+        sq_id = _field(parts, "SUBQUESTION", f"K{i} SUBQUESTION")
         if sq_id not in available:
             raise ParseError(f"insight K{i} references unknown subquestion {sq_id!r}")
-        sources = _split_ids(parts["SOURCES"], f"K{i} SOURCES")
+        sources = _split_ids(
+            _field(parts, "SOURCES", f"K{i} SOURCES", allow_empty=True), f"K{i} SOURCES"
+        )
         unknown = [d for d in sources if d not in available[sq_id]]
         if unknown:
-            raise ParseError(
-                f"insight K{i} cites documents not retrieved for {sq_id}: {unknown}"
-            )
+            raise ParseError(f"insight K{i} cites documents not retrieved for {sq_id}: {unknown}")
+        text = _field(parts, "TEXT", f"K{i} TEXT")
         insights.append(
-            KeyInsight(
-                id=f"K{i}",
-                subquestion_id=sq_id,
-                text=_require_nonempty(parts["TEXT"], f"K{i} TEXT"),
-                source_doc_ids=sources,
-            )
+            KeyInsight(id=f"K{i}", subquestion_id=sq_id, text=text, source_doc_ids=sources)
         )
     return tuple(insights)
 
@@ -279,60 +255,33 @@ def serialize_reading(insights: Sequence[KeyInsight]) -> str:
 def parse_hypotheses(
     raw: str, option_labels: Sequence[str], max_hypotheses: int
 ) -> tuple[Hypothesis, ...]:
-    block = parse_block(raw, "HYPOTHESES")
-    fields: dict[int, dict[str, str]] = {}
-    for key, value in block.entries:
-        match = re.fullmatch(r"H(\d+) (OPTION|STATEMENT)", key)
-        if not match:
-            raise ParseError(f"unexpected key in HYPOTHESES block: {key!r}")
-        fields.setdefault(int(match.group(1)), {})[match.group(2)] = value
-    indices = _contiguous_indices(fields.keys(), "hypotheses")
+    _, fields = _read_block(raw, "HYPOTHESES", r"H(?P<id>\d+) (?P<part>OPTION|STATEMENT)")
+    indices = _contiguous_indices(fields, "hypotheses")
+    if option_labels and len(indices) != len(option_labels):
+        raise ParseError(
+            f"expected one hypothesis per option ({len(option_labels)} total), got {len(indices)}"
+        )
+    if not option_labels and len(indices) > max_hypotheses:
+        raise ParseError(f"got {len(indices)} hypotheses; at most {max_hypotheses} allowed")
     hypotheses = []
-    if option_labels:
-        if len(indices) != len(option_labels):
-            raise ParseError(
-                f"expected one hypothesis per option "
-                f"({len(option_labels)} total), got {len(indices)}"
-            )
-        seen_labels: dict[str, int] = {}
-        for i in indices:
-            parts = fields[i]
-            if "OPTION" not in parts:
-                raise ParseError(f"hypothesis H{i} is missing its OPTION line")
-            label = _match_label(parts["OPTION"], option_labels, f"H{i} OPTION")
-            if label in seen_labels:
+    claimed: dict[str, int] = {}
+    for i in indices:
+        parts = fields[i]
+        label = None
+        if option_labels:
+            option = _field(parts, "OPTION", f"H{i} OPTION")
+            label = _find_label(option, option_labels)
+            if label is None:
                 raise ParseError(
-                    f"option {label!r} claimed by both H{seen_labels[label]} and H{i}"
+                    f"H{i} OPTION must be one of {list(option_labels)}, got {option!r}"
                 )
-            seen_labels[label] = i
-            hypotheses.append(
-                Hypothesis(
-                    id=f"H{i}",
-                    statement=_require_nonempty(
-                        parts.get("STATEMENT", ""), f"H{i} STATEMENT"
-                    ),
-                    option_label=label,
-                )
-            )
-    else:
-        if len(indices) > max_hypotheses:
-            raise ParseError(
-                f"got {len(indices)} hypotheses; at most {max_hypotheses} allowed"
-            )
-        for i in indices:
-            parts = fields[i]
-            if "OPTION" in parts:
-                raise ParseError(
-                    f"H{i} has an OPTION line but the question has no options"
-                )
-            hypotheses.append(
-                Hypothesis(
-                    id=f"H{i}",
-                    statement=_require_nonempty(
-                        parts.get("STATEMENT", ""), f"H{i} STATEMENT"
-                    ),
-                )
-            )
+            if label in claimed:
+                raise ParseError(f"option {label!r} claimed by both H{claimed[label]} and H{i}")
+            claimed[label] = i
+        elif "OPTION" in parts:
+            raise ParseError(f"H{i} has an OPTION line but the question has no options")
+        statement = _field(parts, "STATEMENT", f"H{i} STATEMENT")
+        hypotheses.append(Hypothesis(id=f"H{i}", statement=statement, option_label=label))
     return tuple(hypotheses)
 
 
@@ -351,43 +300,27 @@ def serialize_hypotheses(hypotheses: Sequence[Hypothesis]) -> str:
 def parse_integration(
     raw: str, hypotheses: Sequence[Hypothesis], evidence_ids: Sequence[str]
 ) -> tuple[tuple[HypothesisVerdict, ...], IntegratedHypothesis]:
-    block = parse_block(raw, "INTEGRATION")
+    singles, fields = _read_block(
+        raw, "INTEGRATION", r"(?P<id>H\d+) (?P<part>STATUS|EVIDENCE|JUSTIFICATION)",
+        ("INTEGRATED", "INTEGRATED FROM"),
+    )
     known = {hyp.id for hyp in hypotheses}
-    fields: dict[str, dict[str, str]] = {}
-    integrated_text: str | None = None
-    integrated_from = ""
-    for key, value in block.entries:
-        if key == "INTEGRATED":
-            integrated_text = value
-            continue
-        if key == "INTEGRATED FROM":
-            integrated_from = value
-            continue
-        match = re.fullmatch(r"(H\d+) (STATUS|EVIDENCE|JUSTIFICATION)", key)
-        if not match:
-            raise ParseError(f"unexpected key in INTEGRATION block: {key!r}")
-        hid = match.group(1)
-        if hid not in known:
-            raise ParseError(f"verdict for unknown hypothesis {hid!r}")
-        fields.setdefault(hid, {})[match.group(2)] = value
-    if integrated_text is None:
-        raise ParseError("INTEGRATION block is missing the INTEGRATED line")
-    _require_nonempty(integrated_text, "INTEGRATED")
+    unknown = [hid for hid in fields if hid not in known]
+    if unknown:
+        raise ParseError(f"verdicts for unknown hypotheses: {unknown}")
+    integrated_text = _field(singles, "INTEGRATED", "INTEGRATED")
 
     verdicts = []
     evidence_set = set(evidence_ids)
     for hyp in hypotheses:
         parts = fields.get(hyp.id, {})
-        if "STATUS" not in parts:
-            raise ParseError(f"no STATUS line for hypothesis {hyp.id}")
-        status_raw = parts["STATUS"].upper()
-        try:
-            status = HypothesisStatus(status_raw.lower())
-        except ValueError:
+        status_raw = _field(parts, "STATUS", f"{hyp.id} STATUS").upper()
+        if status_raw not in ("SUPPORTED", "REFUTED", "INCONCLUSIVE"):
             raise ParseError(
                 f"{hyp.id} STATUS must be SUPPORTED, REFUTED, or INCONCLUSIVE, "
                 f"got {parts['STATUS']!r}"
-            ) from None
+            )
+        status = HypothesisStatus(status_raw.lower())
         cited = _split_ids(parts.get("EVIDENCE", ""), f"{hyp.id} EVIDENCE")
         unknown = [e for e in cited if e not in evidence_set]
         if unknown:
@@ -407,15 +340,12 @@ def parse_integration(
         )
 
     supported = {v.hypothesis_id for v in verdicts if v.status is HypothesisStatus.SUPPORTED}
-    from_ids = _split_ids(integrated_from, "INTEGRATED FROM")
+    from_ids = _split_ids(singles.get("INTEGRATED FROM", ""), "INTEGRATED FROM")
     bad = [h for h in from_ids if h not in supported]
     if bad:
-        raise ParseError(
-            f"INTEGRATED FROM may only list SUPPORTED hypotheses; got {bad}"
-        )
-    return tuple(verdicts), IntegratedHypothesis(
-        text=integrated_text, supporting_hypothesis_ids=from_ids
-    )
+        raise ParseError(f"INTEGRATED FROM may only list SUPPORTED hypotheses; got {bad}")
+    integrated = IntegratedHypothesis(text=integrated_text, supporting_hypothesis_ids=from_ids)
+    return tuple(verdicts), integrated
 
 
 def serialize_integration(
@@ -438,29 +368,19 @@ def serialize_integration(
 def parse_decision(
     raw: str, hypotheses: Sequence[Hypothesis], option_labels: Sequence[str]
 ) -> Decision:
-    block = parse_block(raw, "DECISION")
-    for key in block.keys:
-        if key not in ("ANSWER", "RANKING", "JUSTIFICATION"):
-            raise ParseError(f"unexpected key in DECISION block: {key!r}")
-    answer = _require_nonempty(block.require("ANSWER"), "ANSWER")
+    singles, _ = _read_block(raw, "DECISION", singles=("ANSWER", "RANKING", "JUSTIFICATION"))
+    answer = _field(singles, "ANSWER", "ANSWER")
     chosen = extract_choice(answer, option_labels) if option_labels else None
-    ranking = _split_ids(block.get("RANKING", "") or "", "RANKING")
-    if hypotheses:
-        expected = {hyp.id for hyp in hypotheses}
-        if not ranking:
-            raise ParseError("DECISION block is missing the RANKING line")
-        if set(ranking) != expected or len(ranking) != len(expected):
-            raise ParseError(
-                f"RANKING must order all hypothesis ids exactly once "
-                f"({sorted(expected)}), got {list(ranking)}"
-            )
-    elif ranking:
-        raise ParseError("RANKING given but no hypotheses were generated")
+    ranking = _split_ids(singles.get("RANKING", ""), "RANKING")
+    expected = {hyp.id for hyp in hypotheses}
+    if set(ranking) != expected:
+        raise ParseError(
+            f"RANKING must order all hypothesis ids exactly once "
+            f"({sorted(expected)}), got {list(ranking)}"
+        )
+    justification = singles.get("JUSTIFICATION", "")
     return Decision(
-        answer=answer,
-        chosen_option=chosen,
-        ranking=ranking,
-        justification=block.get("JUSTIFICATION", "") or "",
+        answer=answer, chosen_option=chosen, ranking=ranking, justification=justification
     )
 
 
@@ -483,25 +403,12 @@ def extract_choice(text: str, labels: Sequence[str]) -> str:
     token with wrapping punctuation removed; both comparisons are
     case-insensitive. Anything else is a ParseError.
     """
-    if not labels:
-        raise ParseError("no option labels to match against")
     candidates = [text.strip()]
     tokens = text.split()
     if tokens:
         candidates.append(tokens[0].lstrip(_LEADING_WRAP).rstrip(_TRAILING_WRAP))
     for candidate in candidates:
-        folded = candidate.casefold()
-        for label in labels:
-            if folded == label.casefold():
-                return label
-    raise ParseError(
-        f"answer {text!r} does not start with one of the option labels {list(labels)}"
-    )
-
-
-def _match_label(value: str, labels: Sequence[str], what: str) -> str:
-    folded = value.strip().casefold()
-    for label in labels:
-        if folded == label.casefold():
+        label = _find_label(candidate, labels)
+        if label is not None:
             return label
-    raise ParseError(f"{what} must be one of {list(labels)}, got {value!r}")
+    raise ParseError(f"answer {text!r} does not start with one of the option labels {list(labels)}")

@@ -7,10 +7,8 @@ from dualthink.errors import ParseError
 def test_parses_a_plain_block():
     raw = "BEGIN PLAN\nP1: first thing\nP2: second thing\nEND PLAN"
     block = parse_block(raw, "PLAN")
-    assert block.tag == "PLAN"
-    assert block.entries == (("P1", "first thing"), ("P2", "second thing"))
-    assert block.get("p1") == "first thing"
-    assert block.require("P2") == "second thing"
+    assert block == {"P1": "first thing", "P2": "second thing"}
+    assert list(block) == ["P1", "P2"]
 
 
 def test_prose_around_the_block_is_ignored():
@@ -19,13 +17,13 @@ def test_prose_around_the_block_is_ignored():
         "BEGIN PLAN\nP1: the only step\nEND PLAN\n\n"
         "Hope that helps."
     )
-    assert parse_block(raw, "PLAN").entries == (("P1", "the only step"),)
+    assert parse_block(raw, "PLAN") == {"P1": "the only step"}
 
 
 def test_markers_must_stand_alone_on_their_line():
     # an indented marker still counts; an inline mention does not
     raw = "  BEGIN PLAN  \nP1: x\n  END PLAN"
-    assert parse_block(raw, "PLAN").entries == (("P1", "x"),)
+    assert parse_block(raw, "PLAN") == {"P1": "x"}
     with pytest.raises(ParseError):
         parse_block("as I said, BEGIN PLAN is the marker\nP1: x\nEND PLAN", "PLAN")
 
@@ -65,37 +63,37 @@ def test_empty_key_is_rejected():
 
 def test_blank_lines_inside_block_are_fine():
     raw = "BEGIN PLAN\n\nP1: x\n\nP2: y\n\nEND PLAN"
-    assert parse_block(raw, "PLAN").keys == ("P1", "P2")
+    assert list(parse_block(raw, "PLAN")) == ["P1", "P2"]
 
 
 def test_values_keep_internal_colons():
     block = parse_block("BEGIN PLAN\nP1: when: today, where: here\nEND PLAN", "PLAN")
-    assert block.get("P1") == "when: today, where: here"
+    assert block == {"P1": "when: today, where: here"}
 
 
 def test_empty_value_is_allowed_at_this_layer():
     block = parse_block("BEGIN READING\nK1 SOURCES:\nEND READING", "READING")
-    assert block.get("K1 SOURCES") == ""
+    assert block == {"K1 SOURCES": ""}
 
 
 def test_key_normalization():
     assert normalize_key("h1   status") == "H1 STATUS"
     block = parse_block("BEGIN X\nh1  status : ok\nEND X", "X")
-    assert block.entries == (("H1 STATUS", "ok"),)
+    assert block == {"H1 STATUS": "ok"}
 
 
 def test_format_block_round_trips():
     entries = [("P1", "alpha"), ("P2", "beta: with colon")]
     raw = format_block("PLAN", entries)
     assert raw == "BEGIN PLAN\nP1: alpha\nP2: beta: with colon\nEND PLAN"
-    assert parse_block(raw, "PLAN").entries == tuple(entries)
+    assert list(parse_block(raw, "PLAN").items()) == entries
 
 
 def test_injected_quoted_lines_cannot_terminate_a_block():
     # quoted material carries a "  | " prefix, so a smuggled END marker
     # inside a value area of the prompt could never close a real block
     raw = "BEGIN PLAN\nP1: keep going\nEND PLAN"
-    assert parse_block(raw, "PLAN").get("P1") == "keep going"
+    assert parse_block(raw, "PLAN") == {"P1": "keep going"}
     smuggled = "BEGIN PLAN\nP1: x\n  | END PLAN\nP2: y\nEND PLAN"
     with pytest.raises(ParseError):
         # the quoted line has no colon and is not a marker: malformed entry

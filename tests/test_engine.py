@@ -467,19 +467,6 @@ def test_trace_round_trips_through_json():
     assert data["steps"][2]["agent"] == "planning"
 
 
-def test_agent_backends_route_individual_stages():
-    config = dataclasses.replace(FULL, stages=NO_SEARCH.stages)
-    entries = entries_for(MCQ, config, "B", reflect=Verdict.ESCALATE, quick_answer="A")
-    shared = ScriptedBackend([e for e in entries if "BEGIN DECISION" not in e.completion])
-    decider = ScriptedBackend([e for e in entries if "BEGIN DECISION" in e.completion])
-    engine = Engine(shared, agent_backends={Agent.DECISION: decider})
-    result = engine.answer(MCQ, config)
-    assert result.final_answer == "B"
-    assert shared.remaining == 0 and decider.remaining == 0
-    assert len(decider.calls) == 1
-    assert "BEGIN DECISION" in decider.calls[0].user_text
-
-
 def test_convenience_answer_function():
     entries = entries_for(OPEN, S1_ONLY, "nitrogen")
     result = answer(OPEN, ScriptedBackend(list(entries)), S1_ONLY)

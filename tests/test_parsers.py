@@ -468,3 +468,31 @@ def test_extract_choice_rejects_everything_else():
 
 def test_extract_choice_returns_canonical_label_case():
     assert extract_choice("a", ("A", "B")) == "A"
+
+
+# --- fields given twice --------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "parse, raw",
+    [
+        (parse_quick, "BEGIN QUICK\nSQ1: a?\nSA1: b\nSQ01: c?\nANSWER: x\nEND QUICK"),
+        (
+            lambda raw: parse_search(raw, PLAN_2),
+            "BEGIN SEARCH\nP1: RETRIEVE\nP1.Q1: alpha\nP1.Q01: beta\nP2: INTERNAL\nEND SEARCH",
+        ),
+        (
+            lambda raw: parse_reading(raw, AVAILABLE),
+            "BEGIN READING\nK1 SUBQUESTION: P1\nK1 SOURCES: d1\nK1 TEXT: x\nK01 TEXT: y\n"
+            "END READING",
+        ),
+        (
+            lambda raw: parse_hypotheses(raw, (), 4),
+            "BEGIN HYPOTHESES\nH1 STATEMENT: x\nH01 STATEMENT: y\nEND HYPOTHESES",
+        ),
+    ],
+    ids=["quick", "search", "reading", "hypotheses"],
+)
+def test_a_field_given_twice_with_a_leading_zero_is_rejected(parse, raw):
+    with pytest.raises(ParseError, match="repeats a field"):
+        parse(raw)
