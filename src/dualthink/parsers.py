@@ -135,7 +135,7 @@ def parse_reflection(raw: str, valid_steps: Sequence[int] = ()) -> ReflectionVer
         raise ParseError(f"DECISION must be ACCEPT or ESCALATE, got {decision_raw!r}")
     flagged: list[int] = []
     for item in _split_ids(singles.get("FLAGGED", ""), "FLAGGED"):
-        if not item.isdigit():
+        if not item.isdecimal():
             raise ParseError(f"FLAGGED entries must be step numbers, got {item!r}")
         flagged.append(int(item))
     if valid_steps:

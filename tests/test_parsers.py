@@ -108,10 +108,11 @@ def test_reflection_rejects_bad_decisions_and_flags():
             "BEGIN REFLECTION\nDECISION: ACCEPT\nFLAGGED: 9\nEND REFLECTION",
             valid_steps=[1, 2],
         )
-    with pytest.raises(ParseError):
-        parse_reflection(
-            "BEGIN REFLECTION\nDECISION: ACCEPT\nFLAGGED: one\nEND REFLECTION"
-        )
+    for flagged in ("one", "\u00b2"):
+        with pytest.raises(ParseError):
+            parse_reflection(
+                f"BEGIN REFLECTION\nDECISION: ACCEPT\nFLAGGED: {flagged}\nEND REFLECTION"
+            )
 
 
 # --- plan ----------------------------------------------------------------

@@ -58,6 +58,35 @@ def test_ties_break_by_ascending_doc_id():
     )
     assert [h.doc_id for h in index.search("apple", 3)] == ["a", "b", "c"]
     assert [h.rank for h in index.search("apple", 3)] == [1, 2, 3]
+    assert [h.doc_id for h in index.search("apple", 2)] == ["a", "b"]
+
+
+def test_ties_break_by_doc_id_when_the_tied_docs_are_seen_at_different_steps():
+    # With k1 = 0 each term adds its whole bound, idf * tf / tf, to a document,
+    # so "a" alone and "b" alone tie. "a" comes first (equal idf keeps query
+    # order) and "d1" is seen before "d0" is; d0 must still win the tie.
+    for fillers in range(1, 40):
+        docs = [Doc("d1", "a a a"), Doc("d0", "b b b")]
+        docs += [Doc(f"f{i}", "c c c") for i in range(fillers)]
+        index = BM25Index.build(docs, k1=0)
+        full = [(h.doc_id, h.score) for h in index.search("a b", len(docs))]
+        assert [(h.doc_id, h.score) for h in index.search("a b", 1)] == full[:1]
+        assert full[0][0] == "d0"
+
+
+def test_ties_break_by_doc_id_when_rarest_first_sums_differ():
+    # With b = 0 and "a", "b" equally common, "a b b b c" and "a a a b c" tie
+    # in query order (p + q + r == q + p + r). Rarest first, "c" comes first,
+    # and r + p + q may differ from r + q + p in the last bit; d0 must still
+    # win the tie whichever of the two it is.
+    for fillers in range(20):
+        for first, second in (("a b b b c", "a a a b c"), ("a a a b c", "a b b b c")):
+            docs = [Doc("d0", first), Doc("d1", second)]
+            docs += [Doc(f"f{i}", "a b z") for i in range(fillers)]
+            index = BM25Index.build(docs, b=0)
+            full = [(h.doc_id, h.score) for h in index.search("a b c", len(docs))]
+            assert full[0][1] == full[1][1] and [full[0][0], full[1][0]] == ["d0", "d1"]
+            assert [(h.doc_id, h.score) for h in index.search("a b c", 1)] == full[:1]
 
 
 def test_k_truncates_and_validates():
@@ -118,6 +147,14 @@ def test_matches_brute_force_on_random_corpora():
                 assert got[doc_id] == pytest.approx(score, abs=1e-9)
             ordered = sorted(expected.items(), key=lambda kv: (-kv[1], kv[0]))
             assert [h.doc_id for h in hits] == [doc_id for doc_id, _ in ordered]
+            # The pruned top k: the same documents and the same floats as the
+            # full ranking's head, and scores added in query order exactly as
+            # the brute force adds them.
+            assert got == expected
+            for k in (1, 2, 3):
+                top = [(h.doc_id, h.score) for h in index.search(query, k)]
+                assert top == [(h.doc_id, h.score) for h in hits[:k]]
+                assert [doc_id for doc_id, _ in top] == [doc_id for doc_id, _ in ordered[:k]]
 
 
 def test_save_load_preserves_scores(tmp_path):
@@ -145,6 +182,53 @@ def test_load_rejects_unknown_snapshot_version(tmp_path):
         BM25Index.load(path)
     with pytest.raises(IngestError):
         BM25Index.load(tmp_path / "missing.json")
+
+
+def _set(path, value):
+    """A snapshot edit that puts ``value`` at the nested ``path``."""
+
+    def edit(snapshot):
+        *keys, last = path
+        target = snapshot
+        for key in keys:
+            target = target[key]
+        target[last] = value
+        return snapshot
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(lambda snapshot: [snapshot], id="json-list"),
+        pytest.param(
+            lambda snapshot: {k: v for k, v in snapshot.items() if k != "docs"}, id="no-docs"
+        ),
+        pytest.param(_set(("postings", "apple", 0), [0]), id="posting-without-tf"),
+        pytest.param(_set(("postings", "apple", 0), [0, "x"]), id="tf-not-a-number"),
+        pytest.param(_set(("postings", "apple", 1), [3, 1]), id="doc-index-out-of-range"),
+        pytest.param(_set(("postings", "apple", 1), [-1, 1]), id="negative-doc-index"),
+        pytest.param(_set(("postings", "apple", 1), [0, 1]), id="repeated-doc-index"),
+        pytest.param(_set(("postings", "apple"), [[1, 1], [0, 1]]), id="descending-doc-indices"),
+        pytest.param(_set(("postings", "apple", 0), [0, 0]), id="tf-below-one"),
+        pytest.param(_set(("postings", "apple"), []), id="empty-posting-list"),
+        pytest.param(_set(("doc_lengths",), [2, 2]), id="short-doc-lengths"),
+        pytest.param(_set(("doc_lengths",), [2, 2, 0]), id="zero-doc-length"),
+        pytest.param(_set(("b",), 1.5), id="b-above-one"),
+        pytest.param(_set(("avgdl",), 0), id="zero-avgdl"),
+    ],
+)
+def test_load_rejects_malformed_snapshots(tmp_path, edit):
+    path = tmp_path / "index.json"
+    docs = [Doc("d0", "apple pear"), Doc("d1", "apple plum"), Doc("d2", "fig date")]
+    BM25Index.build(docs).save(path)
+    snapshot = json.loads(path.read_text(encoding="utf-8"))
+    assert snapshot["postings"]["apple"] == [[0, 1], [1, 1]]
+    path.write_text(json.dumps(edit(snapshot)), encoding="utf-8")
+    with pytest.raises(IngestError) as info:
+        BM25Index.load(path)
+    assert str(path) in str(info.value)
 
 
 def test_load_corpus_jsonl(tmp_path):
