@@ -82,7 +82,9 @@ class HttpChatBackend:
 
     Retries transport errors, 429, and 5xx responses per the retry policy;
     other 4xx responses fail immediately. The API key is read from an
-    environment variable, never from config files.
+    environment variable, never from config files. Each thread posts through
+    its own ``requests.Session``, which requests does not document as
+    thread-safe; an injected ``session`` is used as given, by every thread.
     """
 
     def __init__(
@@ -104,8 +106,16 @@ class HttpChatBackend:
         self.api_key_env = api_key_env
         self.timeout = timeout
         self.retry = retry
-        self._session = session or requests.Session()
+        self._session = session
+        self._local = threading.local()
         self._sleep = sleep
+
+    def _thread_session(self) -> requests.Session:
+        if self._session is not None:
+            return self._session
+        if not hasattr(self._local, "session"):
+            self._local.session = requests.Session()
+        return self._local.session
 
     def _headers(self) -> dict[str, str]:
         headers = {"Content-Type": "application/json"}
@@ -129,7 +139,7 @@ class HttpChatBackend:
         last_error: Exception | None = None
         for attempt in range(1, self.retry.max_attempts + 1):
             try:
-                response = self._session.post(
+                response = self._thread_session().post(
                     url, json=payload, headers=self._headers(), timeout=self.timeout
                 )
             except requests.Timeout as exc:
@@ -169,9 +179,15 @@ class HttpChatBackend:
             raise BackendError(f"malformed response body: {exc}") from exc
         if text is None:
             text = ""
-        usage_raw = data.get("usage") or {}
-        prompt_tokens = usage_raw.get("prompt_tokens")
-        completion_tokens = usage_raw.get("completion_tokens")
+        usage_raw = data.get("usage")
+        if usage_raw is None:
+            usage_raw = {}
+        if not isinstance(text, str) or not isinstance(usage_raw, dict):
+            raise BackendError(
+                "malformed response body: content must be a string and usage an object"
+            )
+        prompt_tokens = _count(usage_raw, "prompt_tokens")
+        completion_tokens = _count(usage_raw, "completion_tokens")
         estimated = prompt_tokens is None or completion_tokens is None
         if prompt_tokens is None:
             prompt_tokens = estimate_tokens(request.system_text) + estimate_tokens(
@@ -181,10 +197,18 @@ class HttpChatBackend:
             completion_tokens = estimate_tokens(text)
         return Completion(
             text=text,
-            usage=TokenUsage(int(prompt_tokens), int(completion_tokens)),
+            usage=TokenUsage(prompt_tokens, completion_tokens),
             model_id=str(data.get("model", self.model)),
             usage_estimated=estimated,
         )
+
+
+def _count(usage: dict, key: str) -> int | None:
+    """A usage count the server reported, or None if it left it out."""
+    value = usage.get(key)
+    if value is not None and (isinstance(value, bool) or not isinstance(value, int) or value < 0):
+        raise BackendError(f"malformed response body: usage.{key} is {value!r}, not a count")
+    return value
 
 
 def _body_snippet(response: requests.Response, limit: int = 200) -> str:

@@ -378,10 +378,12 @@ def _cmd_trace_show(args: argparse.Namespace, settings: Settings) -> int:
     for i, step in enumerate(trace.get("steps", []), start=1):
         status = "ok" if step.get("parsed") is not None else "parse failed"
         step_usage = step.get("usage", {})
+        start = f", at +{step['start_ms']} ms" if "start_ms" in step else ""
         print()
         print(
             f"[{i}] {step.get('agent')} (attempt {step.get('attempt')}, {status}, "
-            f"{step_usage.get('prompt_tokens', 0)}+{step_usage.get('completion_tokens', 0)} tokens)"
+            f"{step_usage.get('prompt_tokens', 0)}+{step_usage.get('completion_tokens', 0)} tokens"
+            f"{start})"
         )
         completion = step.get("completion", "")
         if not args.full and len(completion) > 400:

@@ -7,8 +7,18 @@ of which can be ablated via the config's stage set. Deliberation also runs
 when the fast pass is disabled or ``force_system2`` is set.
 
 All eight agent calls are rows of one table, :data:`_STAGES`: each row says
-how to fill the agent's prompt from the outputs so far, how to parse the
-reply, and where the parsed outputs go. One call loop drives every row.
+how to fill the agent's prompt from the outputs so far, which of those
+outputs that prompt and its parser read, how to parse the reply, and where
+the parsed outputs go. One call loop drives every row.
+
+Deliberation walks the enabled stages in canonical order and starts a later
+stage early, on a worker thread, once every earlier stage that writes what
+it reads is done; the walk joins it when it gets there. Today that is
+hypothesis, which runs alongside planning, search and reading. The trace
+lists steps in canonical order whichever call finished first, and each
+step's ``start_ms`` shows the overlap. Every worker call is joined before
+``answer`` returns or raises; of several failed stages, the error of the
+first in canonical order is raised.
 
 Every backend call is recorded on the trace, including failed parse
 attempts; a stage that needed a retry therefore shows up once per attempt.
@@ -18,6 +28,7 @@ from __future__ import annotations
 
 import logging
 import time
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -81,6 +92,7 @@ class _Run:
 
     question: Question
     config: PipelineConfig
+    started: float = field(default_factory=time.monotonic)
     steps: list[AgentStep] = field(default_factory=list)
     system2_triggered: bool = False
     quick: QuickAnswer | None = None
@@ -119,6 +131,9 @@ class _Run:
 class _Stage:
     """One agent call: its prompt values, its parser, and where results go.
 
+    ``reads`` names the :class:`_Run` outputs that ``values`` and ``parse``
+    read (the question and config are always there); the scheduler starts a
+    stage once every earlier enabled stage that writes one of them is done.
     ``parse`` returns the value for the one name in ``fields``, or a tuple
     with one value per name when there are several; each is stored on the
     :class:`_Run` under its name. The trace step's ``parsed`` is the value's
@@ -128,6 +143,7 @@ class _Stage:
     values: Callable[[_Run], dict[str, str]]
     parse: Callable[[str, _Run], Any]
     fields: tuple[str, ...]
+    reads: tuple[str, ...]
     flat: bool = False
 
 
@@ -223,6 +239,7 @@ _STAGES: dict[Agent, _Stage] = {
         },
         parse=_parse_quick,
         fields=("quick",),
+        reads=(),
         flat=True,
     ),
     Agent.REFLECTION: _Stage(
@@ -232,23 +249,27 @@ _STAGES: dict[Agent, _Stage] = {
         },
         parse=lambda raw, run: parse_reflection(raw, [step.index for step in run.quick.steps]),
         fields=("reflection",),
+        reads=("quick",),
         flat=True,
     ),
     Agent.PLANNING: _Stage(
         values=_planning_values,
         parse=lambda raw, run: parse_plan(raw, run.config.max_subquestions),
         fields=("plan",),
+        reads=("quick", "reflection"),
         flat=True,
     ),
     Agent.SEARCH: _Stage(
         values=lambda run: {"question": run.question.text, "subquestions": _listing(run.plan)},
         parse=lambda raw, run: parse_search(raw, run.plan),
         fields=("decisions",),
+        reads=("plan",),
     ),
     Agent.READING: _Stage(
         values=_reading_values,
         parse=lambda raw, run: parse_reading(raw, _retrieved_ids(run)),
         fields=("insights",),
+        reads=("plan", "docs_by_subquestion"),
     ),
     Agent.HYPOTHESIS: _Stage(
         values=_hypothesis_values,
@@ -256,19 +277,36 @@ _STAGES: dict[Agent, _Stage] = {
             raw, run.question.option_labels, run.config.max_hypotheses
         ),
         fields=("hypotheses",),
+        reads=(),
     ),
     Agent.INTEGRATION: _Stage(
         values=_integration_values,
         parse=lambda raw, run: parse_integration(raw, run.hypotheses, run.evidence_ids()),
         fields=("verdicts", "integrated"),
+        reads=("hypotheses", "insights", "plan", "docs_by_subquestion"),
     ),
     Agent.DECISION: _Stage(
         values=_decision_values,
         parse=lambda raw, run: parse_decision(raw, run.hypotheses, run.question.option_labels),
         fields=("decision",),
+        reads=("plan", "insights", "docs_by_subquestion", "hypotheses", "verdicts", "integrated"),
         flat=True,
     ),
 }
+
+
+def _starts(sequence: list[Agent]) -> list[int]:
+    """For each stage, the walk position at which it may start: one past the
+    last earlier stage that writes a field it reads (search also writes the
+    retrieved documents)."""
+    writes = [
+        set(_STAGES[agent].fields) | ({"docs_by_subquestion"} if agent is Agent.SEARCH else set())
+        for agent in sequence
+    ]
+    return [
+        max((i + 1 for i in range(j) if writes[i].intersection(_STAGES[agent].reads)), default=0)
+        for j, agent in enumerate(sequence)
+    ]
 
 
 class Engine:
@@ -283,6 +321,9 @@ class Engine:
         self._backend = backend
         self._retriever = retriever
         self._prompts = prompts or PromptLibrary.default()
+        # Threads start on demand. A worker stage never waits on another
+        # worker, so the bound cannot deadlock; past it, early stages queue.
+        self._pool = ThreadPoolExecutor(32, thread_name_prefix="dualthink-stage")
 
     def answer(self, question: Question, config: PipelineConfig | None = None) -> AnswerResult:
         """Answer one question.
@@ -305,7 +346,7 @@ class Engine:
     def _answer(self, run: _Run) -> AnswerResult:
         question, config = run.question, run.config
         if config.system1_enabled:
-            self._call(Agent.QUICK, run)
+            self._call(Agent.QUICK, run, run.steps)
             if not config.force_system2 and self._gate_accepts(run):
                 final = run.quick.final_answer
                 chosen = None
@@ -314,10 +355,23 @@ class Engine:
                 return AnswerResult(final, chosen, run.trace(final, chosen))
 
         run.system2_triggered = True
-        for agent in stage_sequence(config):
-            self._call(agent, run)
-            if agent is Agent.SEARCH:
-                run.docs_by_subquestion = self._retrieve(run)
+        sequence = stage_sequence(config)
+        steps: dict[Agent, list[AgentStep]] = {agent: [] for agent in sequence}
+        running: dict[Agent, Future] = {}
+        starts = _starts(sequence)
+        try:
+            for i, agent in enumerate(sequence):
+                for later, start in zip(sequence[i + 1 :], starts[i + 1 :]):
+                    if start == i:
+                        running[later] = self._pool.submit(self._stage, later, run, steps[later])
+                if agent in running:
+                    running.pop(agent).result()
+                else:
+                    self._stage(agent, run, steps[agent])
+        finally:
+            # A failure above outranks those of the later stages still running.
+            wait(running.values())
+            run.steps.extend(step for agent in sequence for step in steps[agent])
         decision = run.decision
         trace = run.trace(decision.answer, decision.chosen_option)
         return AnswerResult(decision.answer, decision.chosen_option, trace)
@@ -326,7 +380,7 @@ class Engine:
         if not run.config.reflection_enabled:
             return True
         try:
-            self._call(Agent.REFLECTION, run)
+            self._call(Agent.REFLECTION, run, run.steps)
         except ParseError as exc:
             # The gate fails open: an unreadable verdict means escalate.
             logger.warning("reflection unparseable (%s); escalating", exc.reason)
@@ -335,6 +389,11 @@ class Engine:
                 rationale=f"reflection output unparseable: {exc.reason}",
             )
         return run.reflection.decision is Verdict.ACCEPT
+
+    def _stage(self, agent: Agent, run: _Run, steps: list[AgentStep]) -> None:
+        self._call(agent, run, steps)
+        if agent is Agent.SEARCH:
+            run.docs_by_subquestion = self._retrieve(run)
 
     def _retrieve(self, run: _Run) -> dict[str, list[RetrievedDoc]]:
         docs_by_sq: dict[str, list[RetrievedDoc]] = {pid: [] for pid in run.plan.ids}
@@ -348,8 +407,9 @@ class Engine:
             docs_by_sq[decision.subquestion_id] = list(merged.values())
         return docs_by_sq
 
-    def _call(self, agent: Agent, run: _Run) -> None:
-        """Runs one row of the stage table, retrying unparseable replies."""
+    def _call(self, agent: Agent, run: _Run, steps: list[AgentStep]) -> None:
+        """Runs one row of the stage table, retrying unparseable replies;
+        each attempt's step goes to ``steps``."""
         stage = _STAGES[agent]
         config = run.config
         system_text, user_text = self._prompts.get(agent).render(**stage.values(run))
@@ -381,7 +441,7 @@ class Engine:
                     parsed = to_jsonable(value)
                 else:
                     parsed = {name: to_jsonable(v) for name, v in zip(stage.fields, outputs)}
-            run.steps.append(
+            steps.append(
                 AgentStep(
                     agent=agent,
                     attempt=attempt,
@@ -391,6 +451,7 @@ class Engine:
                     usage=completion.usage,
                     wall_ms=wall_ms,
                     usage_estimated=completion.usage_estimated,
+                    start_ms=int((started - run.started) * 1000),
                 )
             )
             if failure is None:

@@ -328,6 +328,8 @@ class AgentStep:
 
     A stage that needed parse retries contributes one step per attempt;
     ``parsed`` is None for attempts whose completion could not be parsed.
+    ``start_ms`` is when the call began, in ms since the answer began, and
+    ``wall_ms`` how long it took; stages that overlap have overlapping spans.
     """
 
     agent: Agent
@@ -338,6 +340,7 @@ class AgentStep:
     usage: TokenUsage
     wall_ms: int
     usage_estimated: bool = False
+    start_ms: int = 0
 
 
 @dataclass(frozen=True)

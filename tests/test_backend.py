@@ -14,6 +14,7 @@ from dualthink.backend import (
     scripted_backend,
 )
 from dualthink.errors import (
+    BackendError,
     BackendExhausted,
     BackendHTTPError,
     ConfigError,
@@ -251,3 +252,70 @@ def test_http_malformed_body_is_a_backend_error(http_stub):
 
     with pytest.raises(BackendError):
         backend.complete(ChatRequest(system_text="s", user_text="u"))
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        _ok_payload("hi", {"prompt_tokens": "n/a", "completion_tokens": 3}),
+        _ok_payload("hi", [1, 2]),
+        _ok_payload(["x"]),
+        _ok_payload("hi", {"prompt_tokens": -5, "completion_tokens": 3}),
+    ],
+    ids=["string-count", "list-usage", "list-content", "negative-count"],
+)
+def test_http_malformed_reply_fields_are_backend_errors(http_stub, payload):
+    base, script = http_stub
+    script.responses.append((200, payload))
+    backend = HttpChatBackend(endpoint=base, model="m1", retry=RetryPolicy(max_attempts=1))
+    with pytest.raises(BackendError, match="malformed response body"):
+        backend.complete(ChatRequest(system_text="s", user_text="u"))
+
+
+class _RecordingSession:
+    """Stands in for ``requests.Session``: answers every post with one reply."""
+
+    made: list["_RecordingSession"] = []
+
+    def __init__(self):
+        self.posts = 0
+        type(self).made.append(self)
+
+    def post(self, url, **kwargs):
+        self.posts += 1
+        return _StubResponse()
+
+
+class _StubResponse:
+    status_code = 200
+
+    def json(self):
+        return _ok_payload("ok", {"prompt_tokens": 1, "completion_tokens": 1})
+
+
+def test_http_posts_through_one_session_per_thread(monkeypatch):
+    monkeypatch.setattr(_RecordingSession, "made", [])
+    monkeypatch.setattr("dualthink.backend.requests.Session", _RecordingSession)
+    backend = HttpChatBackend(endpoint="http://unused", model="m1")
+    request = ChatRequest(system_text="s", user_text="u")
+
+    def two_calls():
+        backend.complete(request)
+        backend.complete(request)
+
+    threads = [threading.Thread(target=two_calls) for _ in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+    assert [session.posts for session in _RecordingSession.made] == [2, 2]
+
+    injected = _RecordingSession()
+    shared = HttpChatBackend(endpoint="http://unused", model="m1", session=injected)
+    worker = threading.Thread(target=shared.complete, args=(request,))
+    worker.start()
+    worker.join(timeout=5)
+    shared.complete(request)
+    assert injected.posts == 2
+    assert len(_RecordingSession.made) == 3

@@ -1,5 +1,6 @@
 import argparse
 import json
+import re
 
 import pytest
 
@@ -547,6 +548,7 @@ def test_trace_show_summarizes_the_saved_run(tmp_path, capsys):
     assert "system 2 triggered: False" in captured.out
     assert "final answer: nitrogen" in captured.out
     assert "[1] quick (attempt 1, ok," in captured.out
+    assert re.search(r"tokens, at \+\d+ ms\)", captured.out)
 
 
 def test_trace_show_truncates_long_completions_unless_full(tmp_path, capsys):
@@ -569,7 +571,9 @@ def test_trace_show_truncates_long_completions_unless_full(tmp_path, capsys):
     path = tmp_path / "t.json"
     path.write_text(json.dumps(trace), encoding="utf-8")
     assert main(["trace", "show", str(path)]) == 0
-    assert "...[truncated; use --full]" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "...[truncated; use --full]" in out
+    assert "[1] quick (attempt 1, ok, 1+2 tokens)" in out  # no start_ms: an older trace
     assert main(["trace", "show", str(path), "--full"]) == 0
     out = capsys.readouterr().out
     assert "truncated" not in out

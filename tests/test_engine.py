@@ -1,19 +1,26 @@
 import dataclasses
 import json
+import re
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from dualthink.backend import ScriptedBackend, ScriptEntry, scripted_backend
+import dualthink.engine as engine_module
+from dualthink.backend import Completion, ScriptedBackend, ScriptEntry, scripted_backend
 from dualthink.engine import Engine, answer
-from dualthink.errors import BackendExhausted, ConfigError, ParseError
+from dualthink.errors import BackendError, BackendExhausted, ConfigError, ParseError
 from dualthink.types import (
     SYSTEM2_STAGES,
     Agent,
     PipelineConfig,
     Question,
     RetrievedDoc,
+    TokenUsage,
     Verdict,
     stage_sequence,
+    sum_usage,
     to_jsonable,
 )
 
@@ -450,7 +457,7 @@ def test_identical_scripts_give_identical_traces():
 
     a, b = one_run(), one_run()
     strip = lambda trace: [
-        dataclasses.replace(step, wall_ms=0) for step in trace.steps
+        dataclasses.replace(step, wall_ms=0, start_ms=0) for step in trace.steps
     ]
     assert strip(a.trace) == strip(b.trace)
     assert a.final_answer == b.final_answer
@@ -479,3 +486,175 @@ def test_invalid_question_is_rejected_before_any_call():
     with pytest.raises(ConfigError):
         Engine(backend).answer(bad, S1_ONLY)
     assert backend.remaining == 1
+
+
+# --- scheduling -------------------------------------------------------------------
+
+S2_FULL = PipelineConfig(system1_enabled=False, reflection_enabled=False, force_system2=True)
+
+
+class GatedBackend:
+    """A scripted backend whose calls can be held until an event is set.
+
+    A call is known by the block tag its prompt asks for (``PLAN``,
+    ``HYPOTHESES``, ...). ``arrived[tag]`` is set when that call reaches the
+    backend and ``returned[tag]`` when it returns. A call whose tag is in
+    ``gates`` first waits for that event, and fails after 5 s.
+    """
+
+    TAGS = ("PLAN", "SEARCH", "READING", "HYPOTHESES", "INTEGRATION", "DECISION")
+
+    def __init__(self, entries):
+        self.inner = ScriptedBackend(entries)
+        self.arrived = {tag: threading.Event() for tag in self.TAGS}
+        self.returned = {tag: threading.Event() for tag in self.TAGS}
+        self.gates: dict[str, threading.Event] = {}
+        self.inflight = 0
+        self._lock = threading.Lock()
+
+    def complete(self, request):
+        tag = re.search(r"BEGIN ([A-Z]+)", request.user_text).group(1)
+        with self._lock:
+            self.inflight += 1
+        self.arrived[tag].set()
+        try:
+            gate = self.gates.get(tag)
+            if gate is not None and not gate.wait(timeout=5):
+                raise BackendError(f"the {tag} call was held for 5 s")
+            return self.inner.complete(request)
+        finally:
+            with self._lock:
+                self.inflight -= 1
+            self.returned[tag].set()
+
+
+def _fails_and_sets(event):
+    def parse(*args):
+        event.set()
+        raise ParseError("scripted failure")
+
+    return parse
+
+
+def _untimed(trace):
+    return [dataclasses.replace(step, wall_ms=0, start_ms=0) for step in trace.steps]
+
+
+def test_hypothesis_runs_alongside_planning_search_and_reading():
+    backend = GatedBackend(entries_for(MCQ, S2_FULL, "A"))
+    # Walked one stage at a time, reading would wait in vain for hypothesis.
+    backend.gates["HYPOTHESES"] = backend.arrived["PLAN"]
+    backend.gates["READING"] = backend.arrived["HYPOTHESES"]
+    result = Engine(backend, retriever=SpyRetriever()).answer(MCQ, S2_FULL)
+    assert result.final_answer == "A"
+    assert result.trace.agent_sequence() == list(SYSTEM2_STAGES)
+    start = {step.agent: step.start_ms for step in result.trace.steps}
+    assert start[Agent.HYPOTHESIS] <= start[Agent.READING]
+    assert backend.inner.remaining == 0
+
+
+@pytest.mark.parametrize(
+    "held, until", [("PLAN", "HYPOTHESES"), ("HYPOTHESES", "READING")],
+    ids=["hypothesis-first", "hypothesis-last"],
+)
+def test_steps_merge_in_canonical_order_whichever_branch_finishes_first(held, until):
+    reference = run(MCQ, S2_FULL, entries_for(MCQ, S2_FULL, "A"), retriever=SpyRetriever())
+    backend = GatedBackend(entries_for(MCQ, S2_FULL, "A"))
+    backend.gates[held] = backend.returned[until]
+    result = Engine(backend, retriever=SpyRetriever()).answer(MCQ, S2_FULL)
+    assert result.trace.agent_sequence() == list(SYSTEM2_STAGES)
+    assert _untimed(result.trace) == _untimed(reference.trace)
+
+
+def _raises_with_partial_trace(backend, config, agent, sequence):
+    with pytest.raises(ParseError) as info:
+        Engine(backend, retriever=SpyRetriever()).answer(MCQ, config)
+    assert backend.inflight == 0, "a worker call outlived answer"
+    assert info.value.agent == agent
+    trace = info.value.trace
+    assert trace.agent_sequence() == sequence
+    assert trace.total_usage == sum_usage(step.usage for step in trace.steps)
+    assert trace.total_usage.total > 0
+
+
+def test_planning_failure_while_hypothesis_is_in_flight(monkeypatch):
+    config = dataclasses.replace(S2_FULL, max_parse_retries=0)
+    backend = GatedBackend(entries_for(MCQ, config, "A"))
+    planning_failed = threading.Event()
+    monkeypatch.setattr(engine_module, "parse_plan", _fails_and_sets(planning_failed))
+    backend.gates["PLAN"] = backend.arrived["HYPOTHESES"]
+    backend.gates["HYPOTHESES"] = planning_failed
+    _raises_with_partial_trace(backend, config, "planning", [Agent.PLANNING, Agent.HYPOTHESIS])
+
+
+def test_hypothesis_failure_while_planning_search_and_reading_run(monkeypatch):
+    config = dataclasses.replace(S2_FULL, max_parse_retries=0)
+    backend = GatedBackend(entries_for(MCQ, config, "A"))
+    hypothesis_failed = threading.Event()
+    monkeypatch.setattr(engine_module, "parse_hypotheses", _fails_and_sets(hypothesis_failed))
+    backend.gates["HYPOTHESES"] = backend.arrived["PLAN"]
+    backend.gates["READING"] = hypothesis_failed
+    _raises_with_partial_trace(
+        backend, config, "hypothesis",
+        [Agent.PLANNING, Agent.SEARCH, Agent.READING, Agent.HYPOTHESIS],
+    )
+
+
+@pytest.mark.parametrize("first", ["planning", "hypothesis"])
+def test_when_both_branches_fail_the_earlier_stage_error_is_raised(monkeypatch, first):
+    config = dataclasses.replace(S2_FULL, max_parse_retries=0)
+    backend = GatedBackend(entries_for(MCQ, config, "A"))
+    failed = {"planning": threading.Event(), "hypothesis": threading.Event()}
+    monkeypatch.setattr(engine_module, "parse_plan", _fails_and_sets(failed["planning"]))
+    monkeypatch.setattr(engine_module, "parse_hypotheses", _fails_and_sets(failed["hypothesis"]))
+    if first == "planning":
+        backend.gates["HYPOTHESES"] = failed["planning"]
+    else:
+        backend.gates["PLAN"] = failed["hypothesis"]
+    _raises_with_partial_trace(backend, config, "planning", [Agent.PLANNING, Agent.HYPOTHESIS])
+    assert failed["planning"].is_set() and failed["hypothesis"].is_set()
+
+
+class RoutedBackend:
+    """Replies by the question in the prompt and the block tag it asks for,
+    so concurrent answers cannot take each other's replies."""
+
+    def __init__(self, scripts):
+        self.scripts = scripts  # question text -> {block tag marker: completion}
+        self.calls = 0
+        self._lock = threading.Lock()
+
+    def complete(self, request):
+        question = request.user_text.split("\n", 2)[1]
+        tag = re.search(r"BEGIN [A-Z]+", request.user_text).group(0)
+        with self._lock:
+            self.calls += 1
+        text = self.scripts[question][tag]
+        return Completion(text=text, usage=TokenUsage(len(request.user_text), len(text)))
+
+
+def test_concurrent_answers_keep_their_own_stages_and_tokens():
+    questions = [
+        dataclasses.replace(MCQ, id=f"q{i}", text=f"Which city hosts tower number {i}?")
+        for i in range(24)
+    ]
+    answers = {q.id: "AB"[i % 2] for i, q in enumerate(questions)}
+    backend = RoutedBackend({
+        q.text: {e.matcher: e.completion for e in entries_for(q, S2_FULL, answers[q.id])}
+        for q in questions
+    })
+    engine = Engine(backend, retriever=SpyRetriever())
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            results = list(pool.map(lambda q: engine.answer(q, S2_FULL), questions))
+    finally:
+        sys.setswitchinterval(interval)
+    assert backend.calls == len(questions) * len(SYSTEM2_STAGES)
+    for question, result in zip(questions, results):
+        assert result.chosen_option == answers[question.id]
+        assert result.trace.question_id == question.id
+        assert result.trace.agent_sequence() == list(SYSTEM2_STAGES)
+        assert all(question.text in step.prompt for step in result.trace.steps)
+        assert result.trace.total_usage == sum_usage(s.usage for s in result.trace.steps)
