@@ -61,6 +61,12 @@ class Completion:
 
 
 class LLMBackend(Protocol):
+    """What the engine calls; ``complete`` may run on several threads at once.
+
+    A backend whose replies depend on the order of its calls has a true
+    ``ordered`` attribute, and the engine then overlaps no calls of one answer.
+    """
+
     def complete(self, request: ChatRequest) -> Completion: ...
 
 
@@ -238,7 +244,8 @@ class ScriptedBackend:
     Each call consumes the first unconsumed entry whose matcher occurs in
     the rendered prompt (system + user). Raises BackendExhausted when no
     entry is left to answer a prompt, which makes over-calling loud in
-    tests.
+    tests. While an entry without a matcher is left, the replies depend on
+    call order, so the backend is ``ordered``.
     """
 
     def __init__(self, entries: Iterable[ScriptEntry], model_id: str = "scripted"):
@@ -277,6 +284,11 @@ class ScriptedBackend:
         raise BackendExhausted(
             f"script has no entry left for prompt starting {request.user_text[:80]!r}"
         )
+
+    @property
+    def ordered(self) -> bool:
+        with self._lock:
+            return any(e.matcher is None and not e.consumed for e in self.entries)
 
     @property
     def remaining(self) -> int:

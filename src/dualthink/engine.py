@@ -7,18 +7,17 @@ of which can be ablated via the config's stage set. Deliberation also runs
 when the fast pass is disabled or ``force_system2`` is set.
 
 All eight agent calls are rows of one table, :data:`_STAGES`: each row says
-how to fill the agent's prompt from the outputs so far, which of those
-outputs that prompt and its parser read, how to parse the reply, and where
-the parsed outputs go. One call loop drives every row.
+how to fill the agent's prompt from the outputs so far, how to parse the
+reply, and where the parsed outputs go. One call loop drives every row.
 
-Deliberation walks the enabled stages in canonical order and starts a later
-stage early, on a worker thread, once every earlier stage that writes what
-it reads is done; the walk joins it when it gets there. Today that is
-hypothesis, which runs alongside planning, search and reading. The trace
-lists steps in canonical order whichever call finished first, and each
-step's ``start_ms`` shows the overlap. Every worker call is joined before
-``answer`` returns or raises; of several failed stages, the error of the
-first in canonical order is raised.
+Deliberation walks the enabled stages in canonical order. Hypothesis reads
+only the question, so it runs on a thread of its own alongside planning,
+search and reading, and the walk joins it when it gets there; a backend
+whose replies depend on call order (``ordered``) gets every call in turn
+instead. The trace lists steps in canonical order whichever call finished
+first, and each step's ``start_ms`` shows the overlap. The hypothesis call
+is joined before ``answer`` returns or raises; when both branches fail,
+the error of the stage first in canonical order is raised.
 
 Every backend call is recorded on the trace, including failed parse
 attempts; a stage that needed a retry therefore shows up once per attempt.
@@ -27,8 +26,8 @@ attempts; a stage that needed a retry therefore shows up once per attempt.
 from __future__ import annotations
 
 import logging
+import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -131,9 +130,6 @@ class _Run:
 class _Stage:
     """One agent call: its prompt values, its parser, and where results go.
 
-    ``reads`` names the :class:`_Run` outputs that ``values`` and ``parse``
-    read (the question and config are always there); the scheduler starts a
-    stage once every earlier enabled stage that writes one of them is done.
     ``parse`` returns the value for the one name in ``fields``, or a tuple
     with one value per name when there are several; each is stored on the
     :class:`_Run` under its name. The trace step's ``parsed`` is the value's
@@ -143,7 +139,6 @@ class _Stage:
     values: Callable[[_Run], dict[str, str]]
     parse: Callable[[str, _Run], Any]
     fields: tuple[str, ...]
-    reads: tuple[str, ...]
     flat: bool = False
 
 
@@ -239,7 +234,6 @@ _STAGES: dict[Agent, _Stage] = {
         },
         parse=_parse_quick,
         fields=("quick",),
-        reads=(),
         flat=True,
     ),
     Agent.REFLECTION: _Stage(
@@ -249,27 +243,23 @@ _STAGES: dict[Agent, _Stage] = {
         },
         parse=lambda raw, run: parse_reflection(raw, [step.index for step in run.quick.steps]),
         fields=("reflection",),
-        reads=("quick",),
         flat=True,
     ),
     Agent.PLANNING: _Stage(
         values=_planning_values,
         parse=lambda raw, run: parse_plan(raw, run.config.max_subquestions),
         fields=("plan",),
-        reads=("quick", "reflection"),
         flat=True,
     ),
     Agent.SEARCH: _Stage(
         values=lambda run: {"question": run.question.text, "subquestions": _listing(run.plan)},
         parse=lambda raw, run: parse_search(raw, run.plan),
         fields=("decisions",),
-        reads=("plan",),
     ),
     Agent.READING: _Stage(
         values=_reading_values,
         parse=lambda raw, run: parse_reading(raw, _retrieved_ids(run)),
         fields=("insights",),
-        reads=("plan", "docs_by_subquestion"),
     ),
     Agent.HYPOTHESIS: _Stage(
         values=_hypothesis_values,
@@ -277,36 +267,19 @@ _STAGES: dict[Agent, _Stage] = {
             raw, run.question.option_labels, run.config.max_hypotheses
         ),
         fields=("hypotheses",),
-        reads=(),
     ),
     Agent.INTEGRATION: _Stage(
         values=_integration_values,
         parse=lambda raw, run: parse_integration(raw, run.hypotheses, run.evidence_ids()),
         fields=("verdicts", "integrated"),
-        reads=("hypotheses", "insights", "plan", "docs_by_subquestion"),
     ),
     Agent.DECISION: _Stage(
         values=_decision_values,
         parse=lambda raw, run: parse_decision(raw, run.hypotheses, run.question.option_labels),
         fields=("decision",),
-        reads=("plan", "insights", "docs_by_subquestion", "hypotheses", "verdicts", "integrated"),
         flat=True,
     ),
 }
-
-
-def _starts(sequence: list[Agent]) -> list[int]:
-    """For each stage, the walk position at which it may start: one past the
-    last earlier stage that writes a field it reads (search also writes the
-    retrieved documents)."""
-    writes = [
-        set(_STAGES[agent].fields) | ({"docs_by_subquestion"} if agent is Agent.SEARCH else set())
-        for agent in sequence
-    ]
-    return [
-        max((i + 1 for i in range(j) if writes[i].intersection(_STAGES[agent].reads)), default=0)
-        for j, agent in enumerate(sequence)
-    ]
 
 
 class Engine:
@@ -321,9 +294,6 @@ class Engine:
         self._backend = backend
         self._retriever = retriever
         self._prompts = prompts or PromptLibrary.default()
-        # Threads start on demand. A worker stage never waits on another
-        # worker, so the bound cannot deadlock; past it, early stages queue.
-        self._pool = ThreadPoolExecutor(32, thread_name_prefix="dualthink-stage")
 
     def answer(self, question: Question, config: PipelineConfig | None = None) -> AnswerResult:
         """Answer one question.
@@ -357,20 +327,29 @@ class Engine:
         run.system2_triggered = True
         sequence = stage_sequence(config)
         steps: dict[Agent, list[AgentStep]] = {agent: [] for agent in sequence}
-        running: dict[Agent, Future] = {}
-        starts = _starts(sequence)
+        worker, failed = None, []
+        if Agent.HYPOTHESIS in sequence[1:] and not getattr(self._backend, "ordered", False):
+
+            def hypothesis() -> None:
+                try:
+                    self._stage(Agent.HYPOTHESIS, run, steps[Agent.HYPOTHESIS])
+                except BaseException as exc:
+                    failed.append(exc)
+
+            worker = threading.Thread(target=hypothesis, name="dualthink-hypothesis", daemon=True)
+            worker.start()
         try:
-            for i, agent in enumerate(sequence):
-                for later, start in zip(sequence[i + 1 :], starts[i + 1 :]):
-                    if start == i:
-                        running[later] = self._pool.submit(self._stage, later, run, steps[later])
-                if agent in running:
-                    running.pop(agent).result()
+            for agent in sequence:
+                if worker is not None and agent is Agent.HYPOTHESIS:
+                    worker.join()
+                    if failed:
+                        raise failed[0]
                 else:
                     self._stage(agent, run, steps[agent])
         finally:
-            # A failure above outranks those of the later stages still running.
-            wait(running.values())
+            # An error of the walk before hypothesis outranks hypothesis's own.
+            if worker is not None:
+                worker.join()
             run.steps.extend(step for agent in sequence for step in steps[agent])
         decision = run.decision
         trace = run.trace(decision.answer, decision.chosen_option)

@@ -8,7 +8,13 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 import dualthink.engine as engine_module
-from dualthink.backend import Completion, ScriptedBackend, ScriptEntry, scripted_backend
+from dualthink.backend import (
+    ChatRequest,
+    Completion,
+    ScriptedBackend,
+    ScriptEntry,
+    scripted_backend,
+)
 from dualthink.engine import Engine, answer
 from dualthink.errors import BackendError, BackendExhausted, ConfigError, ParseError
 from dualthink.types import (
@@ -658,3 +664,55 @@ def test_concurrent_answers_keep_their_own_stages_and_tokens():
         assert result.trace.agent_sequence() == list(SYSTEM2_STAGES)
         assert all(question.text in step.prompt for step in result.trace.steps)
         assert result.trace.total_usage == sum_usage(s.usage for s in result.trace.steps)
+
+
+def test_a_script_without_matchers_gets_one_call_at_a_time():
+    # Entries without a matcher answer whichever call comes first, so an
+    # overlapping hypothesis call could take planning's reply.
+    backend = scripted_backend(*(e.completion for e in entries_for(MCQ, S2_FULL, "A")))
+    assert backend.ordered
+    threads = []
+    complete = backend.complete
+    backend.complete = lambda request: threads.append(threading.current_thread()) or complete(
+        request
+    )
+    result = Engine(backend, retriever=SpyRetriever()).answer(MCQ, S2_FULL)
+    assert threads == [threading.current_thread()] * len(SYSTEM2_STAGES)
+    assert result.final_answer == "A"
+    assert result.trace.agent_sequence() == list(SYSTEM2_STAGES)
+    assert not backend.ordered
+
+
+def test_a_script_is_ordered_while_an_entry_without_a_matcher_is_left():
+    assert not scripted_backend(("BEGIN PLAN", "x")).ordered
+    backend = scripted_backend(("BEGIN PLAN", "x"), "y")
+    assert backend.ordered
+    backend.complete(ChatRequest(system_text="", user_text="BEGIN PLAN"))
+    backend.complete(ChatRequest(system_text="", user_text="BEGIN PLAN"))
+    assert not backend.ordered
+
+
+def test_every_concurrent_answer_has_its_hypothesis_call_in_flight_at_once():
+    questions = [
+        dataclasses.replace(MCQ, id=f"q{i}", text=f"Which city hosts tower number {i}?")
+        for i in range(40)
+    ]
+    backend = RoutedBackend({
+        q.text: {e.matcher: e.completion for e in entries_for(q, S2_FULL, "A")}
+        for q in questions
+    })
+    # Each hypothesis call waits until all of them have arrived.
+    barrier = threading.Barrier(len(questions), timeout=5)
+    complete = backend.complete
+
+    def held(request):
+        if re.search(r"BEGIN [A-Z]+", request.user_text).group(0) == "BEGIN HYPOTHESES":
+            barrier.wait()
+        return complete(request)
+
+    backend.complete = held
+    engine = Engine(backend, retriever=SpyRetriever())
+    with ThreadPoolExecutor(len(questions)) as pool:
+        results = list(pool.map(lambda q: engine.answer(q, S2_FULL), questions))
+    assert [r.chosen_option for r in results] == ["A"] * len(questions)
+    assert backend.calls == len(questions) * len(SYSTEM2_STAGES)
