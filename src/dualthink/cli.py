@@ -273,7 +273,7 @@ def _cmd_ask(args: argparse.Namespace, settings: Settings) -> int:
     engine = Engine(_backend(settings), retriever=_retriever(settings), prompts=_prompts(settings))
     result = engine.answer(question, config)
     if args.trace:
-        write_atomic(Path(args.trace), json.dumps(result.trace.to_dict(), indent=2))
+        write_atomic(Path(args.trace), json.dumps(result.trace.to_dict()))
     mode = "system 2" if result.trace.system2_triggered else "system 1"
     if result.chosen_option is not None:
         print(f"{result.chosen_option}: {result.final_answer}")

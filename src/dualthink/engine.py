@@ -26,8 +26,8 @@ attempts; a stage that needed a retry therefore shows up once per attempt.
 from __future__ import annotations
 
 import logging
-import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -327,29 +327,22 @@ class Engine:
         run.system2_triggered = True
         sequence = stage_sequence(config)
         steps: dict[Agent, list[AgentStep]] = {agent: [] for agent in sequence}
-        worker, failed = None, []
-        if Agent.HYPOTHESIS in sequence[1:] and not getattr(self._backend, "ordered", False):
-
-            def hypothesis() -> None:
-                try:
-                    self._stage(Agent.HYPOTHESIS, run, steps[Agent.HYPOTHESIS])
-                except BaseException as exc:
-                    failed.append(exc)
-
-            worker = threading.Thread(target=hypothesis, name="dualthink-hypothesis", daemon=True)
-            worker.start()
+        early = Agent.HYPOTHESIS in sequence[1:] and not getattr(self._backend, "ordered", False)
         try:
-            for agent in sequence:
-                if worker is not None and agent is Agent.HYPOTHESIS:
-                    worker.join()
-                    if failed:
-                        raise failed[0]
-                else:
-                    self._stage(agent, run, steps[agent])
+            # Leaving the block joins hypothesis; an error of the walk before
+            # hypothesis outranks hypothesis's own, which is then never read.
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                hypothesis = None
+                if early:
+                    hypothesis = pool.submit(
+                        self._stage, Agent.HYPOTHESIS, run, steps[Agent.HYPOTHESIS]
+                    )
+                for agent in sequence:
+                    if hypothesis is not None and agent is Agent.HYPOTHESIS:
+                        hypothesis.result()
+                    else:
+                        self._stage(agent, run, steps[agent])
         finally:
-            # An error of the walk before hypothesis outranks hypothesis's own.
-            if worker is not None:
-                worker.join()
             run.steps.extend(step for agent in sequence for step in steps[agent])
         decision = run.decision
         trace = run.trace(decision.answer, decision.chosen_option)

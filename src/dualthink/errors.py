@@ -15,31 +15,35 @@ class TemplateError(DualThinkError):
     """A prompt template references a placeholder that was not supplied."""
 
 
-class ParseError(DualThinkError):
-    """A structured completion could not be parsed into a valid payload.
-
-    ``reason`` is a machine-readable sentence that is fed back verbatim into
-    the retry prompt; ``agent`` identifies the stage once known; ``trace``
-    is the question's partial ReasoningTrace once the engine attaches it.
-    """
-
-    def __init__(self, reason: str, agent: str | None = None):
-        self.reason = reason
-        self.agent = agent
-        self.trace = None
-        super().__init__(reason if agent is None else f"[{agent}] {reason}")
-
-
-class BackendError(DualThinkError):
-    """Transport-level or protocol-level failure when calling a model.
-
-    ``agent`` and ``trace`` are filled in as for :class:`ParseError`.
-    """
+class _AgentError(DualThinkError):
+    """A failure of one agent's call. ``agent`` names the agent once known,
+    and ``str()`` then starts with ``[agent]``; ``trace`` is the question's
+    partial ReasoningTrace once the engine attaches it."""
 
     def __init__(self, message: str, agent: str | None = None):
         self.agent = agent
         self.trace = None
         super().__init__(message)
+
+    def __str__(self) -> str:
+        message = super().__str__()
+        return message if self.agent is None else f"[{self.agent}] {message}"
+
+
+class ParseError(_AgentError):
+    """A structured completion could not be parsed into a valid payload.
+
+    ``reason`` is a machine-readable sentence that is fed back verbatim into
+    the retry prompt.
+    """
+
+    def __init__(self, reason: str, agent: str | None = None):
+        self.reason = reason
+        super().__init__(reason, agent)
+
+
+class BackendError(_AgentError):
+    """Transport-level or protocol-level failure when calling a model."""
 
 
 class BackendTimeout(BackendError):

@@ -29,66 +29,38 @@ _H = Agent.HYPOTHESIS
 _I = Agent.INTEGRATION
 _D = Agent.DECISION
 
-#: The eight ablation rows, in report order.
-_ABLATION: tuple[tuple[str, PipelineConfig], ...] = (
-    (
-        "System 1",
-        PipelineConfig(
-            stages=frozenset(),
-            system1_enabled=True,
-            reflection_enabled=False,
-            force_system2=False,
-        ),
-    ),
-    ("System 2 (Full)", _system2_only(*SYSTEM2_STAGES)),
-    (
-        "System 2 (Planning + Search + Hypothesis + Integration + Decision)",
-        _system2_only(_P, _S, _H, _I, _D),
-    ),
-    (
-        "System 2 (Planning + Search + Reading + Hypothesis + Decision)",
-        _system2_only(_P, _S, _R, _H, _D),
-    ),
-    (
-        "System 2 (Planning + Search + Hypothesis + Decision)",
-        _system2_only(_P, _S, _H, _D),
-    ),
-    (
-        "System 2 (Planning + Search + Reading + Decision)",
-        _system2_only(_P, _S, _R, _D),
-    ),
-    ("System 2 (Planning + Search + Decision)", _system2_only(_P, _S, _D)),
-    ("System 2 (Hypothesis + Decision)", _system2_only(_H, _D)),
-)
-
 #: Combined mode: quick pass plus gate, escalating into the full pipeline.
 DUAL_PRESET_NAME = "System 1 + System 2"
 
-_EXTRA: dict[str, PipelineConfig] = {
-    DUAL_PRESET_NAME: PipelineConfig(
-        stages=frozenset(SYSTEM2_STAGES),
-        system1_enabled=True,
-        reflection_enabled=True,
-        force_system2=False,
+#: Every named configuration: the eight ablation rows in report order, then
+#: the combined mode.
+_PRESETS: dict[str, PipelineConfig] = {
+    "System 1": PipelineConfig(stages=frozenset(), reflection_enabled=False),
+    "System 2 (Full)": _system2_only(*SYSTEM2_STAGES),
+    "System 2 (Planning + Search + Hypothesis + Integration + Decision)": _system2_only(
+        _P, _S, _H, _I, _D
     ),
+    "System 2 (Planning + Search + Reading + Hypothesis + Decision)": _system2_only(
+        _P, _S, _R, _H, _D
+    ),
+    "System 2 (Planning + Search + Hypothesis + Decision)": _system2_only(_P, _S, _H, _D),
+    "System 2 (Planning + Search + Reading + Decision)": _system2_only(_P, _S, _R, _D),
+    "System 2 (Planning + Search + Decision)": _system2_only(_P, _S, _D),
+    "System 2 (Hypothesis + Decision)": _system2_only(_H, _D),
+    DUAL_PRESET_NAME: PipelineConfig(),
 }
 
 
 def ablation_presets() -> list[tuple[str, PipelineConfig]]:
     """The eight canonical ablation rows, in order."""
-    return list(_ABLATION)
+    return [(name, config) for name, config in _PRESETS.items() if name != DUAL_PRESET_NAME]
 
 
 def preset_names() -> list[str]:
-    return [name for name, _ in _ABLATION] + list(_EXTRA)
+    return list(_PRESETS)
 
 
 def preset(name: str) -> PipelineConfig:
-    for preset_name, config in _ABLATION:
-        if preset_name == name:
-            return config
-    if name in _EXTRA:
-        return _EXTRA[name]
-    raise ConfigError(
-        f"unknown preset {name!r}; available: {', '.join(preset_names())}"
-    )
+    if name not in _PRESETS:
+        raise ConfigError(f"unknown preset {name!r}; available: {', '.join(_PRESETS)}")
+    return _PRESETS[name]

@@ -169,17 +169,24 @@ def score_result(
     usage: TokenUsage,
     trace_path: str | None = None,
     usage_estimated: bool = False,
+    error: str | None = None,
 ) -> QuestionResult:
-    """Score one answered question against its gold."""
+    """Score one question against its gold. A question that errored has no
+    prediction and scores 0 wherever it can be scored."""
     correct: bool | None = None
     em_score: float | None = None
     f1_score: float | None = None
+    if error is not None:
+        predicted = chosen_option = None
     if question.kind is QuestionKind.MCQ:
         if question.gold is not None:
             correct = chosen_option == question.gold
     elif question.gold_aliases:
-        em_score = exact_match(predicted, question.gold_aliases)
-        f1_score = f1(predicted, question.gold_aliases)
+        if error is None:
+            em_score = exact_match(predicted, question.gold_aliases)
+            f1_score = f1(predicted, question.gold_aliases)
+        else:
+            em_score = f1_score = 0.0
         correct = em_score == 1.0
     return QuestionResult(
         question_id=question.id,
@@ -193,6 +200,7 @@ def score_result(
         usage=usage,
         difficulty=question.difficulty,
         trace_path=trace_path,
+        error=error,
         usage_estimated=usage_estimated,
     )
 
@@ -237,40 +245,24 @@ def run_benchmark(
 
     def answer_one(question: Question) -> QuestionResult:
         trace_path = str(traces_dir / trace_file_name(question.id)) if traces_dir else None
+        error = None
         try:
-            outcome = engine.answer(question, config)
+            trace = engine.answer(question, config).trace
         except (ParseError, BackendError) as exc:
             logger.error("question %s failed: %s", question.id, exc)
-            trace = exc.trace
-            open_scored = question.kind is QuestionKind.OPEN and bool(question.gold_aliases)
-            result = QuestionResult(
-                question_id=question.id,
-                predicted=None,
-                gold=question.gold,
-                kind=question.kind,
-                correct=False if question.gold or question.gold_aliases else None,
-                em=0.0 if open_scored else None,
-                f1=0.0 if open_scored else None,
-                system2_triggered=trace.system2_triggered,
-                usage=trace.total_usage,
-                difficulty=question.difficulty,
-                trace_path=trace_path,
-                error=str(exc),
-                usage_estimated=any(s.usage_estimated for s in trace.steps),
-            )
-        else:
-            trace = outcome.trace
-            result = score_result(
-                question,
-                outcome.final_answer,
-                outcome.chosen_option,
-                trace.system2_triggered,
-                trace.total_usage,
-                trace_path=trace_path,
-                usage_estimated=any(s.usage_estimated for s in trace.steps),
-            )
+            trace, error = exc.trace, str(exc)
+        result = score_result(
+            question,
+            trace.final_answer,
+            trace.chosen_option,
+            trace.system2_triggered,
+            trace.total_usage,
+            trace_path=trace_path,
+            usage_estimated=any(s.usage_estimated for s in trace.steps),
+            error=error,
+        )
         if trace_path:
-            write_atomic(Path(trace_path), json.dumps(trace.to_dict(), indent=2))
+            write_atomic(Path(trace_path), json.dumps(trace.to_dict()))
         if results_path:
             with write_lock:
                 with results_path.open("a", encoding="utf-8") as handle:

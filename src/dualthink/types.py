@@ -370,20 +370,29 @@ class ReasoningTrace:
         return to_jsonable(self)
 
 
+#: Types ``to_jsonable`` returns as they are, matched by exact type so that
+#: str-valued enums are not among them.
+_AS_IS = frozenset({str, int, float, bool, type(None), dict})
+
+
 def to_jsonable(value: Any) -> Any:
-    """Recursively convert dataclasses/enums/tuples into JSON-safe values."""
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+    """Recursively convert dataclasses, enums, tuples and lists into
+    JSON-safe values, dispatching on the exact type, plain types first.
+
+    A ``dict`` is returned unchanged, not walked: the only dicts met are
+    steps' ``parsed`` values, which ``Engine._call`` has already converted.
+    """
+    kind = type(value)
+    if kind in _AS_IS:
+        return value
+    if isinstance(value, Enum):
+        return value.value
+    if kind is tuple or kind is list:
+        return [to_jsonable(item) for item in value]
+    if dataclasses.is_dataclass(kind):
         return {
             f.name: to_jsonable(getattr(value, f.name)) for f in dataclasses.fields(value)
         }
-    if isinstance(value, Enum):
-        return value.value
-    if isinstance(value, (list, tuple)):
-        return [to_jsonable(item) for item in value]
-    if isinstance(value, frozenset):
-        return sorted(to_jsonable(item) for item in value)
-    if isinstance(value, Mapping):
-        return {key: to_jsonable(item) for key, item in value.items()}
     return value
 
 

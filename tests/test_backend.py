@@ -160,10 +160,12 @@ def http_stub():
     server = HTTPServer(("127.0.0.1", 0), _Script)
     _Script.responses = []
     _Script.seen = []
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # A short poll lets shutdown() return at once rather than after 0.5 s.
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}", _Script
     server.shutdown()
+    server.server_close()
     thread.join(timeout=2)
 
 

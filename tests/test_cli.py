@@ -144,7 +144,7 @@ def test_ask_parse_failure_exits_one(tmp_path, capsys):
         ]
     )
     assert code == 1
-    assert "error:" in capsys.readouterr().err
+    assert "error: [quick] no 'BEGIN QUICK' line found" in capsys.readouterr().err
 
 
 def test_unknown_preset_exits_two(tmp_path, capsys):
@@ -549,6 +549,11 @@ def test_trace_show_summarizes_the_saved_run(tmp_path, capsys):
     assert "final answer: nitrogen" in captured.out
     assert "[1] quick (attempt 1, ok," in captured.out
     assert re.search(r"tokens, at \+\d+ ms\)", captured.out)
+    text = trace_path.read_text(encoding="utf-8")
+    assert "\n" not in text  # written compact
+    trace_path.write_text(json.dumps(json.loads(text), indent=2), encoding="utf-8")
+    assert main(["trace", "show", str(trace_path)]) == 0  # as older runs wrote it
+    assert capsys.readouterr().out == captured.out
 
 
 def test_trace_show_truncates_long_completions_unless_full(tmp_path, capsys):

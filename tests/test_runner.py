@@ -187,6 +187,22 @@ def test_errored_question_keeps_its_tokens_and_trace(tmp_path):
     assert report.total_usage == failed.usage
 
 
+def test_errored_questions_score_zero_and_name_the_failed_agent(tmp_path):
+    questions = [make_mcq(1), Question(id="q02", text="Ungraded?"), make_open(3, ["the"])]
+    config = dataclasses.replace(S1_ONLY, max_parse_retries=0)
+    backend = ScriptedBackend([ScriptEntry("garbage") for _ in questions])
+    mcq, ungraded, open_ = run_benchmark(questions, config, backend, out_dir=tmp_path).results
+    assert mcq.predicted is None and mcq.correct is False
+    assert ungraded.predicted is None and ungraded.correct is None and ungraded.em is None
+    # "" is not scored: it would match "the" once both are normalized
+    assert open_.predicted is None and open_.correct is False
+    assert open_.em == 0.0 and open_.f1 == 0.0
+    lines = (tmp_path / "results.jsonl").read_text(encoding="utf-8").splitlines()
+    assert [json.loads(line)["error"] for line in lines] == [
+        "[quick] no 'BEGIN QUICK' line found"
+    ] * 3
+
+
 # --- run directories ----------------------------------------------------------
 
 
