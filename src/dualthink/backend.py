@@ -13,7 +13,7 @@ import logging
 import os
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Protocol, Sequence
 
@@ -78,6 +78,12 @@ class RetryPolicy:
     backoff_base: float = 0.5
     backoff_max: float = 8.0
 
+    def __post_init__(self) -> None:
+        if self.max_attempts < 1:
+            raise ConfigError(f"max_attempts must be >= 1, got {self.max_attempts}")
+        if not (self.backoff_base >= 0 and self.backoff_max >= 0):
+            raise ConfigError(f"backoff must be >= 0, got {self.backoff_base}, {self.backoff_max}")
+
     def delay(self, attempt: int) -> float:
         """Seconds to sleep after failed attempt ``attempt`` (1-based)."""
         return min(self.backoff_base * (2 ** (attempt - 1)), self.backoff_max)
@@ -107,6 +113,8 @@ class HttpChatBackend:
             raise ConfigError("backend endpoint must be non-empty")
         if not model:
             raise ConfigError("backend model must be non-empty")
+        if not timeout > 0:
+            raise ConfigError(f"backend timeout must be > 0 seconds, got {timeout}")
         self.endpoint = endpoint.rstrip("/")
         self.model = model
         self.api_key_env = api_key_env
@@ -224,7 +232,7 @@ def _body_snippet(response: requests.Response, limit: int = 200) -> str:
         return ""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScriptEntry:
     """One canned completion; ``matcher`` restricts which prompts it answers.
 
@@ -235,21 +243,22 @@ class ScriptEntry:
     completion: str
     matcher: str | None = None
     usage: TokenUsage | None = None
-    consumed: bool = field(default=False, compare=False)
 
 
 class ScriptedBackend:
     """Deterministic backend that replays canned completions.
 
-    Each call consumes the first unconsumed entry whose matcher occurs in
-    the rendered prompt (system + user). Raises BackendExhausted when no
-    entry is left to answer a prompt, which makes over-calling loud in
-    tests. While an entry without a matcher is left, the replies depend on
-    call order, so the backend is ``ordered``.
+    Each call takes the first entry left whose matcher occurs in the
+    rendered prompt (system + user). Raises BackendExhausted when no entry
+    is left to answer a prompt, which makes over-calling loud in tests.
+    The entries left are the backend's own list, so one entry list (or one
+    entry repeated) can feed any number of backends. While an entry without
+    a matcher is left, the replies depend on call order, so the backend is
+    ``ordered``.
     """
 
     def __init__(self, entries: Iterable[ScriptEntry], model_id: str = "scripted"):
-        self.entries = list(entries)
+        self._left = list(entries)
         self.model_id = model_id
         self.calls: list[ChatRequest] = []
         self._lock = threading.Lock()
@@ -258,42 +267,31 @@ class ScriptedBackend:
         prompt = request.system_text + "\n" + request.user_text
         with self._lock:
             self.calls.append(request)
-            for entry in self.entries:
-                if entry.consumed:
-                    continue
-                if entry.matcher is not None and entry.matcher not in prompt:
-                    continue
-                entry.consumed = True
-                if entry.usage is not None:
-                    return Completion(
-                        text=entry.completion,
-                        usage=entry.usage,
-                        model_id=self.model_id,
-                        usage_estimated=False,
-                    )
-                usage = TokenUsage(
-                    estimate_tokens(request.system_text) + estimate_tokens(request.user_text),
-                    estimate_tokens(entry.completion),
+            for i, entry in enumerate(self._left):
+                if entry.matcher is None or entry.matcher in prompt:
+                    del self._left[i]
+                    break
+            else:
+                raise BackendExhausted(
+                    f"script has no entry left for prompt starting {request.user_text[:80]!r}"
                 )
-                return Completion(
-                    text=entry.completion,
-                    usage=usage,
-                    model_id=self.model_id,
-                    usage_estimated=True,
-                )
-        raise BackendExhausted(
-            f"script has no entry left for prompt starting {request.user_text[:80]!r}"
+        usage = entry.usage if entry.usage is not None else TokenUsage(
+            estimate_tokens(request.system_text) + estimate_tokens(request.user_text),
+            estimate_tokens(entry.completion),
+        )
+        return Completion(
+            entry.completion, usage, self.model_id, usage_estimated=entry.usage is None
         )
 
     @property
     def ordered(self) -> bool:
         with self._lock:
-            return any(e.matcher is None and not e.consumed for e in self.entries)
+            return any(e.matcher is None for e in self._left)
 
     @property
     def remaining(self) -> int:
         with self._lock:
-            return sum(1 for e in self.entries if not e.consumed)
+            return len(self._left)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ScriptedBackend":

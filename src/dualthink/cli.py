@@ -216,9 +216,7 @@ def _pipeline(settings: Settings, base: PipelineConfig | None = None) -> Pipelin
     settings applied."""
     overrides = dict(settings["pipeline"])
     name = overrides.pop("preset", DUAL_PRESET_NAME)
-    config = dataclasses.replace(base if base is not None else preset(name), **overrides)
-    config.validate()
-    return config
+    return dataclasses.replace(base if base is not None else preset(name), **overrides)
 
 
 def _backend(settings: Settings) -> LLMBackend:
@@ -237,6 +235,12 @@ def _retriever(settings: Settings) -> BM25Index | None:
     options = dict(settings["retrieval"])
     index, corpus = options.pop("index", None), options.pop("corpus", None)
     if index:
+        ignored = [f"--{key}" for key in settings["retrieval"] if key != "index"]
+        if ignored:
+            raise ConfigError(
+                f"--index loads a built snapshot, so {', '.join(ignored)} would be ignored; "
+                "k1 and b are set when it is built, by `index build`"
+            )
         return BM25Index.load(index)
     return build_index_from_corpus(corpus, **options) if corpus else None
 

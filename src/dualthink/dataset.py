@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from .errors import FormatError
+from .errors import ConfigError, FormatError
 from .types import Difficulty, Question
 
 DATASET_KINDS = ("auto", "mcq", "open")
@@ -85,45 +85,36 @@ def _parse_record(record: dict[str, Any], lineno: int, kind: str) -> Question:
         except ValueError as exc:
             raise FormatError(str(exc), line=lineno) from exc
 
+    options: tuple[tuple[str, str], ...] = ()
+    aliases: list[str] = []
     if has_options:
         if not isinstance(options_raw, dict):
             raise FormatError("'options' must be an object of label: text", line=lineno)
         options = tuple(
             (str(label), str(option_text)) for label, option_text in options_raw.items()
         )
-        gold = record.get("answer")
-        if gold is not None:
-            gold = str(gold)
+        if record.get("answer") is not None:
+            gold = str(record["answer"])
             if gold not in dict(options):
                 raise FormatError(
                     f"'answer' {gold!r} is not an option label", line=lineno
                 )
-        question = Question(
+            aliases = [gold]
+    elif "answers" in record:
+        raw = record["answers"]
+        if not isinstance(raw, list) or not all(isinstance(a, str) for a in raw):
+            raise FormatError("'answers' must be a list of strings", line=lineno)
+        aliases = [a for a in raw if a.strip()]
+    elif record.get("answer") is not None:
+        aliases = [str(record["answer"])]
+    try:
+        return Question(
             id=qid,
             text=text,
             options=options,
-            gold=gold,
-            gold_aliases=(gold,) if gold is not None else (),
-            difficulty=difficulty,
-        )
-    else:
-        aliases: list[str] = []
-        if "answers" in record:
-            raw = record["answers"]
-            if not isinstance(raw, list) or not all(isinstance(a, str) for a in raw):
-                raise FormatError("'answers' must be a list of strings", line=lineno)
-            aliases = [a for a in raw if a.strip()]
-        elif record.get("answer") is not None:
-            aliases = [str(record["answer"])]
-        question = Question(
-            id=qid,
-            text=text,
             gold=aliases[0] if aliases else None,
             gold_aliases=tuple(aliases),
             difficulty=difficulty,
         )
-    try:
-        question.validate()
-    except Exception as exc:
+    except ConfigError as exc:
         raise FormatError(str(exc), line=lineno) from exc
-    return question

@@ -302,8 +302,6 @@ class Engine:
         the calls made so far attached as ``trace``.
         """
         config = config or PipelineConfig()
-        question.validate()
-        config.validate()
         if Agent.SEARCH in config.stages and self._retriever is None:
             raise ConfigError("the search stage is enabled but no retriever was given")
         run = _Run(question, config)

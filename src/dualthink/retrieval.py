@@ -55,7 +55,6 @@ def tokenize(text: str) -> list[str]:
 class Doc:
     doc_id: str
     text: str
-    title: str = ""
 
 
 class Retriever(Protocol):
@@ -63,7 +62,8 @@ class Retriever(Protocol):
 
 
 def load_corpus(path: str | Path) -> list[Doc]:
-    """Read a JSONL corpus; each line needs "id" and "text", "title" optional."""
+    """Read a JSONL corpus; each line needs "id" and "text", other fields
+    (such as "title") are ignored."""
     docs = []
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
@@ -78,13 +78,7 @@ def load_corpus(path: str | Path) -> list[Doc]:
             raise IngestError(f"corpus {path} line {lineno}: invalid JSON ({exc})") from exc
         if not isinstance(record, dict) or "id" not in record or "text" not in record:
             raise IngestError(f"corpus {path} line {lineno}: need 'id' and 'text' fields")
-        docs.append(
-            Doc(
-                doc_id=str(record["id"]),
-                text=str(record["text"]),
-                title=str(record.get("title", "")),
-            )
-        )
+        docs.append(Doc(doc_id=str(record["id"]), text=str(record["text"])))
     return docs
 
 
@@ -188,10 +182,8 @@ class BM25Index:
                 score += self._gain(term, idfs[term], idx)
             ranked.append((-score, self.docs[idx].doc_id, idx))
         return [
-            RetrievedDoc(
-                doc_id=doc_id, text=self.docs[idx].text, score=-neg, rank=rank, query=query
-            )
-            for rank, (neg, doc_id, idx) in enumerate(heapq.nsmallest(k, ranked), start=1)
+            RetrievedDoc(doc_id=doc_id, text=self.docs[idx].text, score=-neg)
+            for neg, doc_id, idx in heapq.nsmallest(k, ranked)
         ]
 
     def _gain(self, term: str, idf: float, idx: int) -> float:
@@ -210,9 +202,7 @@ class BM25Index:
             "b": self.b,
             "avgdl": self.avgdl,
             "doc_lengths": self.doc_lengths,
-            "docs": [
-                {"id": d.doc_id, "title": d.title, "text": d.text} for d in self.docs
-            ],
+            "docs": [{"id": d.doc_id, "text": d.text} for d in self.docs],
             "postings": self.postings,
         }
         Path(path).write_text(json.dumps(snapshot), encoding="utf-8")
@@ -233,10 +223,7 @@ class BM25Index:
         # search() bisects each posting list by doc index, so the indices must
         # be strictly ascending; each must also name a document and have tf >= 1.
         try:
-            docs = [
-                Doc(doc_id=d["id"], text=d["text"], title=d.get("title", ""))
-                for d in snapshot["docs"]
-            ]
+            docs = [Doc(doc_id=d["id"], text=d["text"]) for d in snapshot["docs"]]
             n_docs, postings = len(docs), {}
             for term, entries in snapshot["postings"].items():
                 posting, last = [], -1

@@ -217,7 +217,6 @@ def run_benchmark(
     prompts: PromptLibrary | None = None,
 ) -> Report:
     """Answer and score every question, resuming from ``out_dir`` if present."""
-    config.validate()
     if parallelism < 1:
         raise ConfigError(f"parallelism must be >= 1, got {parallelism}")
     ids = [q.id for q in questions]

@@ -2,13 +2,15 @@
 
 Everything here is an immutable value object; the orchestration logic lives
 in :mod:`dualthink.engine` and the textual protocol in
-:mod:`dualthink.parsers`.
+:mod:`dualthink.parsers`. :class:`Question` and :class:`PipelineConfig` check
+their invariants when built, so an invalid one raises ConfigError and never
+exists (``dataclasses.replace`` builds anew, so it checks too).
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Iterable, Mapping
 
@@ -96,7 +98,7 @@ class Question:
     def option_labels(self) -> tuple[str, ...]:
         return tuple(label for label, _ in self.options)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not self.id:
             raise ConfigError("question id must be non-empty")
         if not self.text.strip():
@@ -186,8 +188,6 @@ class RetrievedDoc:
     doc_id: str
     text: str
     score: float
-    rank: int
-    query: str
 
 
 @dataclass(frozen=True)
@@ -268,7 +268,7 @@ class PipelineConfig:
     max_tokens: int = 1024
     max_inject_chars: int = 1500
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         bad = set(self.stages) - set(SYSTEM2_STAGES)
         if bad:
             raise ConfigError(f"not deliberation stages: {sorted(a.value for a in bad)}")
@@ -318,7 +318,6 @@ class PipelineConfig:
 
 def stage_sequence(config: PipelineConfig) -> list[Agent]:
     """Active deliberation stages in canonical execution order."""
-    config.validate()
     return [stage for stage in SYSTEM2_STAGES if stage in config.stages]
 
 

@@ -108,7 +108,6 @@ def test_gating_invariant_over_fifty_scenarios():
             reflection_enabled=refl,
             force_system2=force,
         )
-        config.validate()
         kwargs = {} if verdict is None else {"reflect": verdict}
         backend = ScriptedBackend(entries_for(question, config, "nitrogen", **kwargs))
         retriever = _CountingIndex(_mini_index())

@@ -85,6 +85,16 @@ def test_scripted_explicit_usage_is_not_estimated():
     assert result.usage_estimated is False
 
 
+def test_scripted_entry_list_can_repeat_an_entry_and_feed_two_backends():
+    entries = [ScriptEntry("garbage")] * 3
+    first, second = ScriptedBackend(entries), ScriptedBackend(entries)
+    request = ChatRequest(system_text="s", user_text="u")
+    assert [first.complete(request).text for _ in range(3)] == ["garbage"] * 3
+    assert first.remaining == 0
+    assert second.remaining == 3
+    assert second.complete(request).text == "garbage"
+
+
 def test_scripted_exhaustion_is_loud():
     backend = scripted_backend(("never-matches", "x"))
     with pytest.raises(BackendExhausted):
@@ -223,6 +233,15 @@ def test_http_retries_429_and_5xx_then_succeeds(http_stub):
     assert result.text == "ok"
     assert sleeps == [0.25, 0.5]
     assert len(script.seen) == 3
+
+
+def test_retry_and_timeout_values_that_cannot_work_are_rejected():
+    for kwargs in ({"max_attempts": 0}, {"backoff_base": -1.0}, {"backoff_max": -0.5}):
+        with pytest.raises(ConfigError):
+            RetryPolicy(**kwargs)
+    for timeout in (0, -1.0):
+        with pytest.raises(ConfigError):
+            HttpChatBackend(endpoint="http://x", model="m", timeout=timeout)
 
 
 def test_http_gives_up_after_max_attempts(http_stub):

@@ -9,7 +9,7 @@ from dualthink.backend import RetryPolicy
 from dualthink.cli import build_parser, main
 from dualthink.errors import BackendError
 from dualthink.presets import preset
-from dualthink.retrieval import BM25Index
+from dualthink.retrieval import BM25Index, Doc
 from dualthink.types import PipelineConfig, Question, Verdict
 
 from scripting import entries_for, entries_for_many, quick_completion
@@ -238,6 +238,22 @@ def ask_with_config(tmp_path, config_text, *flags, backend="scripted"):
 )
 def test_bad_config_values_and_unknown_keys_exit_two(tmp_path, capsys, config_text, named):
     assert ask_with_config(tmp_path, config_text) == 2
+    assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "setting, flags, named",
+    [
+        ("max_attempts = 0\n", [], "max_attempts must be >= 1"),
+        ("", ["--timeout", "0"], "timeout must be > 0"),
+    ],
+    ids=["max-attempts-0", "timeout-0"],
+)
+def test_retry_and_timeout_values_that_cannot_work_exit_two(
+    tmp_path, capsys, setting, flags, named
+):
+    config_text = "[backend]\nendpoint = http://127.0.0.1:9\nmodel = m\n" + setting
+    assert ask_with_config(tmp_path, config_text, *flags, backend="http") == 2
     assert named in capsys.readouterr().err
 
 
@@ -497,6 +513,23 @@ def test_index_build_writes_a_loadable_snapshot(tmp_path, capsys):
     assert main(argv + ["--out", str(out), "--b", "0.25"]) == 0
     index = BM25Index.load(out)
     assert (index.k1, index.b) == (2.0, 0.25)
+
+
+def test_index_with_corpus_or_bm25_settings_exits_two(tmp_path, capsys):
+    snapshot = tmp_path / "index.json"
+    BM25Index.build([Doc("d1", "eiffel tower paris")], k1=0.5).save(snapshot)
+    assert ask_with_config(tmp_path, "", "--index", str(snapshot)) == 0
+    capsys.readouterr()
+    for flags, named in (
+        (["--k1", "2.0"], "--k1"),
+        (["--b", "0.5"], "--b"),
+        (["--corpus", "/nope.jsonl"], "--corpus"),
+    ):
+        assert ask_with_config(tmp_path, "", "--index", str(snapshot), *flags) == 2
+        err = capsys.readouterr().err
+        assert named in err and "index build" in err
+    assert ask_with_config(tmp_path, "[retrieval]\nk1 = 2.0\n", "--index", str(snapshot)) == 2
+    assert "--k1" in capsys.readouterr().err
 
 
 def test_index_build_rejects_a_bad_corpus(tmp_path, capsys):

@@ -61,7 +61,7 @@ class SpyRetriever:
         self.calls.append((query, k))
         docs = self.docs_by_query.get(query, ())
         return [
-            RetrievedDoc(doc_id=doc_id, text=text, score=1.0 - i * 0.1, rank=i + 1, query=query)
+            RetrievedDoc(doc_id=doc_id, text=text, score=1.0 - i * 0.1)
             for i, (doc_id, text) in enumerate(docs)
         ][:k]
 
@@ -487,11 +487,9 @@ def test_convenience_answer_function():
 
 
 def test_invalid_question_is_rejected_before_any_call():
-    backend = scripted_backend("unused")
-    bad = Question(id="", text="x?")
+    # An invalid question cannot be built, so no engine can be handed one.
     with pytest.raises(ConfigError):
-        Engine(backend).answer(bad, S1_ONLY)
-    assert backend.remaining == 1
+        Question(id="", text="x?")
 
 
 # --- scheduling -------------------------------------------------------------------

