@@ -1,6 +1,7 @@
-"""Model backends: an HTTP chat-completions client and a scripted stand-in.
+"""Model backends: an HTTP chat-completions client, a scripted stand-in, and
+a wrapper that shares identical temperature-0 replies.
 
-Both implement the one-method :class:`LLMBackend` protocol, so the engine,
+All implement the one-method :class:`LLMBackend` protocol, so the engine,
 benchmark harness, and tests are indifferent to where completions come from.
 Token usage is taken from the server when reported and estimated from
 character counts otherwise, with the estimate flagged as such.
@@ -8,6 +9,8 @@ character counts otherwise, with the estimate flagged as such.
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import json
 import logging
 import os
@@ -54,10 +57,13 @@ class ChatRequest:
 
 @dataclass(frozen=True)
 class Completion:
+    """A reply; ``cached`` when it was served again instead of billed."""
+
     text: str
     usage: TokenUsage
     model_id: str = ""
     usage_estimated: bool = False
+    cached: bool = False
 
 
 class LLMBackend(Protocol):
@@ -217,10 +223,14 @@ class HttpChatBackend:
         )
 
 
+def _is_count(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
 def _count(usage: dict, key: str) -> int | None:
     """A usage count the server reported, or None if it left it out."""
     value = usage.get(key)
-    if value is not None and (isinstance(value, bool) or not isinstance(value, int) or value < 0):
+    if value is not None and not _is_count(value):
         raise BackendError(f"malformed response body: usage.{key} is {value!r}, not a count")
     return value
 
@@ -307,22 +317,56 @@ class ScriptedBackend:
             if isinstance(item, str):
                 entries.append(ScriptEntry(completion=item))
                 continue
+            where = f"script {path} entry {i}"
             if not isinstance(item, dict) or "completion" not in item:
-                raise ConfigError(f"script {path} entry {i}: need a 'completion' field")
-            usage = None
-            if "usage" in item:
+                raise ConfigError(f"{where}: need a 'completion' field")
+            completion, matcher, usage = item["completion"], item.get("matcher"), item.get("usage")
+            if not isinstance(completion, str):
+                raise ConfigError(f"{where}: 'completion' must be a string, got {completion!r}")
+            if matcher is not None and not isinstance(matcher, str):
+                raise ConfigError(f"{where}: 'matcher' must be a string, got {matcher!r}")
+            if usage is not None:
+                if not isinstance(usage, dict):
+                    raise ConfigError(f"{where}: 'usage' must be an object, got {usage!r}")
+                for key in ("prompt_tokens", "completion_tokens"):
+                    if not _is_count(usage.get(key, 0)):
+                        raise ConfigError(f"{where}: usage.{key} is {usage[key]!r}, not a count")
                 usage = TokenUsage(
-                    int(item["usage"].get("prompt_tokens", 0)),
-                    int(item["usage"].get("completion_tokens", 0)),
+                    usage.get("prompt_tokens", 0), usage.get("completion_tokens", 0)
                 )
-            entries.append(
-                ScriptEntry(
-                    completion=str(item["completion"]),
-                    matcher=item.get("matcher"),
-                    usage=usage,
-                )
-            )
+            entries.append(ScriptEntry(completion, matcher, usage))
         return cls(entries)
+
+
+class SharedReplies:
+    """Sends each distinct temperature-0 request to ``inner`` once and serves
+    every later identical request from that first reply, marked ``cached``.
+
+    Replies are keyed by a digest of the request, so the prompts are not
+    kept alive. An unparseable reply is stored like any other: the model
+    would send the same text again. A ``BackendError`` is never stored, and
+    a request with ``temperature > 0`` always reaches ``inner``. Two
+    concurrent misses on one request both reach ``inner``.
+    """
+
+    def __init__(self, inner: LLMBackend):
+        self._inner = inner
+        self._replies: dict[bytes, Completion] = {}
+        self._lock = threading.Lock()
+
+    def complete(self, request: ChatRequest) -> Completion:
+        if request.temperature > 0:
+            return self._inner.complete(request)
+        # The repr holds every field of the request, each string quoted.
+        key = hashlib.blake2b(repr(request).encode(), digest_size=16).digest()
+        with self._lock:
+            reply = self._replies.get(key)
+        if reply is not None:
+            return reply
+        completion = self._inner.complete(request)
+        with self._lock:
+            self._replies.setdefault(key, dataclasses.replace(completion, cached=True))
+        return completion
 
 
 def scripted_backend(*entries: str | tuple[str, str] | ScriptEntry) -> ScriptedBackend:

@@ -379,15 +379,22 @@ def _cmd_trace_show(args: argparse.Namespace, settings: Settings) -> int:
         f"tokens: {usage.get('prompt_tokens', 0)} prompt + "
         f"{usage.get('completion_tokens', 0)} completion"
     )
+    cached = trace.get("cached_usage", {})
+    if cached.get("prompt_tokens") or cached.get("completion_tokens"):
+        print(
+            f"cached: {cached.get('prompt_tokens', 0)} prompt + "
+            f"{cached.get('completion_tokens', 0)} completion"
+        )
     for i, step in enumerate(trace.get("steps", []), start=1):
         status = "ok" if step.get("parsed") is not None else "parse failed"
         step_usage = step.get("usage", {})
+        replayed = ", replayed" if step.get("cached") else ""
         start = f", at +{step['start_ms']} ms" if "start_ms" in step else ""
         print()
         print(
             f"[{i}] {step.get('agent')} (attempt {step.get('attempt')}, {status}, "
             f"{step_usage.get('prompt_tokens', 0)}+{step_usage.get('completion_tokens', 0)} tokens"
-            f"{start})"
+            f"{replayed}{start})"
         )
         completion = step.get("completion", "")
         if not args.full and len(completion) > 400:

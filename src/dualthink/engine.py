@@ -21,6 +21,8 @@ the error of the stage first in canonical order is raised.
 
 Every backend call is recorded on the trace, including failed parse
 attempts; a stage that needed a retry therefore shows up once per attempt.
+A reply the backend served again from an identical earlier request is a
+step marked ``cached``, counted in the trace's ``cached_usage``.
 """
 
 from __future__ import annotations
@@ -122,7 +124,8 @@ class _Run:
             system2_triggered=self.system2_triggered,
             final_answer=final_answer,
             chosen_option=chosen_option,
-            total_usage=sum_usage(step.usage for step in self.steps),
+            total_usage=sum_usage(step.usage for step in self.steps if not step.cached),
+            cached_usage=sum_usage(step.usage for step in self.steps if step.cached),
         )
 
 
@@ -422,6 +425,7 @@ class Engine:
                     wall_ms=wall_ms,
                     usage_estimated=completion.usage_estimated,
                     start_ms=int((started - run.started) * 1000),
+                    cached=completion.cached,
                 )
             )
             if failure is None:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
-from .backend import LLMBackend
+from .backend import LLMBackend, SharedReplies
 from .engine import Engine
 from .errors import BackendError, ConfigError, FormatError, ParseError
 from .metrics import exact_match, f1
@@ -47,7 +47,11 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class QuestionResult:
-    """Scored outcome for one question; ``error`` is set when it crashed."""
+    """Scored outcome for one question; ``error`` is set when it crashed.
+
+    ``usage`` counts the billed calls and ``cached_usage`` the replies
+    served again from an identical earlier request.
+    """
 
     question_id: str
     predicted: str | None
@@ -62,13 +66,13 @@ class QuestionResult:
     trace_path: str | None = None
     error: str | None = None
     usage_estimated: bool = False
+    cached_usage: TokenUsage = TokenUsage()
 
     def to_dict(self) -> dict[str, Any]:
         return to_jsonable(self)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "QuestionResult":
-        usage = data.get("usage") or {}
         return cls(
             question_id=data["question_id"],
             predicted=data.get("predicted"),
@@ -78,15 +82,18 @@ class QuestionResult:
             em=data.get("em"),
             f1=data.get("f1"),
             system2_triggered=bool(data["system2_triggered"]),
-            usage=TokenUsage(
-                int(usage.get("prompt_tokens", 0)),
-                int(usage.get("completion_tokens", 0)),
-            ),
+            usage=_usage(data.get("usage")),
             difficulty=Difficulty(data["difficulty"]) if data.get("difficulty") else None,
             trace_path=data.get("trace_path"),
             error=data.get("error"),
             usage_estimated=bool(data.get("usage_estimated", False)),
+            cached_usage=_usage(data.get("cached_usage")),
         )
+
+
+def _usage(data: Mapping[str, Any] | None) -> TokenUsage:
+    data = data or {}
+    return TokenUsage(int(data.get("prompt_tokens", 0)), int(data.get("completion_tokens", 0)))
 
 
 def _pct(numerator: float, denominator: float) -> float:
@@ -126,13 +133,21 @@ class Report:
 
     @property
     def total_usage(self) -> TokenUsage:
+        """Billed tokens: the calls that reached the backend."""
         return sum_usage(r.usage for r in self.results)
 
     @property
+    def total_cached_usage(self) -> TokenUsage:
+        return sum_usage(r.cached_usage for r in self.results)
+
+    @property
     def mean_completion_tokens(self) -> float:
+        """Completion tokens per question, billed and replayed: what the
+        configuration costs when it runs alone."""
         if not self.results:
             return 0.0
-        return self.total_usage.completion_tokens / len(self.results)
+        completion = self.total_usage.completion_tokens + self.total_cached_usage.completion_tokens
+        return completion / len(self.results)
 
     @property
     def kind(self) -> str:
@@ -155,6 +170,8 @@ class Report:
             "f1_pct": self.f1_pct,
             "total_prompt_tokens": self.total_usage.prompt_tokens,
             "total_completion_tokens": self.total_usage.completion_tokens,
+            "total_cached_prompt_tokens": self.total_cached_usage.prompt_tokens,
+            "total_cached_completion_tokens": self.total_cached_usage.completion_tokens,
             "mean_completion_tokens": round(self.mean_completion_tokens, 2),
             "usage_estimated": any(r.usage_estimated for r in self.results),
             "results": [r.to_dict() for r in self.results],
@@ -170,6 +187,7 @@ def score_result(
     trace_path: str | None = None,
     usage_estimated: bool = False,
     error: str | None = None,
+    cached_usage: TokenUsage = TokenUsage(),
 ) -> QuestionResult:
     """Score one question against its gold. A question that errored has no
     prediction and scores 0 wherever it can be scored."""
@@ -202,6 +220,7 @@ def score_result(
         trace_path=trace_path,
         error=error,
         usage_estimated=usage_estimated,
+        cached_usage=cached_usage,
     )
 
 
@@ -259,6 +278,7 @@ def run_benchmark(
             trace_path=trace_path,
             usage_estimated=any(s.usage_estimated for s in trace.steps),
             error=error,
+            cached_usage=trace.cached_usage,
         )
         if trace_path:
             write_atomic(Path(trace_path), json.dumps(trace.to_dict()))
@@ -442,8 +462,14 @@ def ablation_sweep(
     """Run every preset over the same questions; one report per preset.
 
     ``backend`` may be a factory taking the preset name, so scripted
-    backends get a fresh script per configuration.
+    backends get a fresh script per configuration. One backend serving
+    every preset is wrapped in :class:`SharedReplies` for the length of the
+    sweep, unless its replies depend on call order (``ordered``): the
+    presets then share each identical temperature-0 request's reply, and
+    the later presets record it as cached usage instead of billed.
     """
+    if not callable(backend) and not getattr(backend, "ordered", False):
+        backend = SharedReplies(backend)
     rows = []
     for preset_name, config in presets if presets is not None else ablation_presets():
         preset_backend = backend(preset_name) if callable(backend) else backend

@@ -329,6 +329,8 @@ class AgentStep:
     ``parsed`` is None for attempts whose completion could not be parsed.
     ``start_ms`` is when the call began, in ms since the answer began, and
     ``wall_ms`` how long it took; stages that overlap have overlapping spans.
+    ``cached`` marks a reply served again from an identical earlier request
+    instead of billed.
     """
 
     agent: Agent
@@ -340,11 +342,16 @@ class AgentStep:
     wall_ms: int
     usage_estimated: bool = False
     start_ms: int = 0
+    cached: bool = False
 
 
 @dataclass(frozen=True)
 class ReasoningTrace:
-    """Ordered record of every backend call made while answering a question."""
+    """Ordered record of every backend call made while answering a question.
+
+    ``total_usage`` sums the billed steps and ``cached_usage`` the replayed
+    ones; together they are what the answer would cost alone.
+    """
 
     question_id: str
     steps: tuple[AgentStep, ...]
@@ -352,6 +359,7 @@ class ReasoningTrace:
     final_answer: str
     chosen_option: str | None
     total_usage: TokenUsage
+    cached_usage: TokenUsage = TokenUsage()
 
     def agent_sequence(self, *, parsed_only: bool = False) -> list[Agent]:
         """Agent names in call order; ``parsed_only`` keeps successful parses."""

@@ -147,6 +147,15 @@ def test_ask_parse_failure_exits_one(tmp_path, capsys):
     assert "error: [quick] no 'BEGIN QUICK' line found" in capsys.readouterr().err
 
 
+def test_malformed_script_entry_exits_two(tmp_path, capsys):
+    script = tmp_path / "s.json"
+    for entry in ({"completion": "x", "usage": 5}, {"completion": "x", "matcher": 5}):
+        script.write_text(json.dumps([entry]), encoding="utf-8")
+        code = main(["ask", "Hm?", "--backend", "scripted", "--script", str(script)])
+        assert code == 2
+        assert f"script {script} entry 0:" in capsys.readouterr().err
+
+
 def test_unknown_preset_exits_two(tmp_path, capsys):
     script = write_script(tmp_path / "s.json", [])
     code = main(
@@ -616,6 +625,33 @@ def test_trace_show_truncates_long_completions_unless_full(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "truncated" not in out
     assert "y" * 500 in out
+
+
+def test_trace_show_marks_replayed_steps(tmp_path, capsys):
+    step = {"agent": "planning", "attempt": 1, "parsed": {}, "completion": "c", "start_ms": 0}
+    trace = {
+        "question_id": "q1",
+        "system2_triggered": True,
+        "final_answer": "x",
+        "total_usage": {"prompt_tokens": 5, "completion_tokens": 1},
+        "cached_usage": {"prompt_tokens": 30, "completion_tokens": 7},
+        "steps": [
+            {**step, "usage": {"prompt_tokens": 30, "completion_tokens": 7}, "cached": True},
+            {**step, "agent": "decision", "usage": {"prompt_tokens": 5, "completion_tokens": 1},
+             "cached": False},
+        ],
+    }
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(trace), encoding="utf-8")
+    assert main(["trace", "show", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "tokens: 5 prompt + 1 completion\ncached: 30 prompt + 7 completion\n" in out
+    assert "[1] planning (attempt 1, ok, 30+7 tokens, replayed, at +0 ms)" in out
+    assert "[2] decision (attempt 1, ok, 5+1 tokens, at +0 ms)" in out
+    trace["cached_usage"] = {"prompt_tokens": 0, "completion_tokens": 0}
+    path.write_text(json.dumps(trace), encoding="utf-8")
+    assert main(["trace", "show", str(path)]) == 0
+    assert "cached:" not in capsys.readouterr().out
 
 
 def test_trace_show_missing_file_exits_two(tmp_path, capsys):

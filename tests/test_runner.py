@@ -1,19 +1,25 @@
 import csv
 import dataclasses
 import json
+import re
+import threading
 from pathlib import Path
 
 import pytest
 
-from dualthink.backend import ScriptEntry, ScriptedBackend
-from dualthink.errors import ConfigError, FormatError
+from dualthink.backend import Completion, ScriptEntry, ScriptedBackend
+from dualthink.errors import BackendError, ConfigError, FormatError
 from dualthink.presets import preset
+from dualthink.retrieval import BM25Index, Doc
 from dualthink.runner import (
     QuestionResult,
     Report,
     ablation_sweep,
+    accuracy_vs_tokens,
     run_benchmark,
     score_result,
+    write_ablation_csv,
+    write_accuracy_vs_tokens_csv,
     write_atomic,
 )
 from dualthink.types import (
@@ -79,7 +85,8 @@ def test_question_without_gold_stays_unscored():
 def test_question_result_round_trips_through_json():
     question = make_mcq(7, gold="A", difficulty=Difficulty.HARD)
     result = score_result(
-        question, "A", "A", True, TokenUsage(120, 40), trace_path="traces/q07.json"
+        question, "A", "A", True, TokenUsage(120, 40), trace_path="traces/q07.json",
+        cached_usage=TokenUsage(30, 8),
     )
     revived = QuestionResult.from_dict(json.loads(json.dumps(result.to_dict())))
     assert revived == result
@@ -388,3 +395,204 @@ def test_empty_report_kind_and_rates():
     assert report.kind == "empty"
     assert report.accuracy_pct == 0.0
     assert report.mean_completion_tokens == 0.0
+
+
+# --- replies shared across the presets of a sweep ----------------------------------
+
+
+class PureBackend:
+    """Replies as a pure function of the request: the question is the second
+    line of the user text and the agent the block tag it asks for.
+
+    Integration cites K1 only when the prompt holds that insight, and
+    decision ranks hypotheses only when asked to, so every preset gets a
+    reply it can parse. The first attempt of a (question, tag) in
+    ``garbled`` is unparseable; every call for one in ``failing`` raises.
+    """
+
+    def __init__(self, questions, answers, garbled=(), failing=()):
+        lean = {
+            "BEGIN INTEGRATION": preset(
+                "System 2 (Planning + Search + Hypothesis + Integration + Decision)"
+            ),
+            "BEGIN DECISION": preset("System 2 (Planning + Search + Reading + Decision)"),
+        }
+        self.replies = {}
+        for question in questions:
+            answer = answers[question.id]
+            for config in (S1_ONLY, preset("System 2 (Full)")):
+                for entry in entries_for(question, config, answer):
+                    self.replies[question.text, entry.matcher, False] = entry.completion
+            for tag, config in lean.items():
+                entry = next(e for e in entries_for(question, config, answer) if e.matcher == tag)
+                self.replies[question.text, tag, True] = entry.completion
+        self.garbled, self.failing = set(garbled), set(failing)
+        self.calls = []
+        self.billed = TokenUsage()
+        self._lock = threading.Lock()
+
+    def fails(self, request):
+        return self._route(request)[:2] in self.failing
+
+    def _route(self, request):
+        text = request.user_text
+        question, tag = text.split("\n", 2)[1], re.search(r"BEGIN [A-Z]+", text).group(0)
+        is_lean = (tag == "BEGIN INTEGRATION" and "K1 (for" not in text) or (
+            tag == "BEGIN DECISION" and "RANKING:" not in text
+        )
+        return question, tag, is_lean
+
+    def complete(self, request):
+        key = self._route(request)
+        with self._lock:
+            self.calls.append(request)
+        if key[:2] in self.failing:
+            raise BackendError("backend down")
+        if key[:2] in self.garbled and "could not be parsed" not in request.user_text:
+            text = "no block at all"
+        else:
+            text = self.replies[key]
+        usage = TokenUsage(len(request.user_text) // 4, len(text) // 4)
+        with self._lock:
+            self.billed = self.billed + usage
+        return Completion(text, usage)
+
+
+SWEEP_QUESTIONS = [
+    make_mcq(1, gold="A"),
+    make_mcq(2, gold="B"),
+    make_open(3, ["nitrogen"], text="Which gas dominates air?"),
+    make_open(4, ["oxygen"], text="Which gas do we breathe for energy?"),
+]
+SWEEP_ANSWERS = {"q01": "A", "q02": "A", "q03": "nitrogen", "q04": "argon"}
+SWEEP_RETRIEVER = BM25Index.build([Doc("d1", "air is mostly nitrogen")])
+
+
+def pure_backend():
+    q1, q2, q3, q4 = (q.text for q in SWEEP_QUESTIONS)
+    return PureBackend(
+        SWEEP_QUESTIONS,
+        SWEEP_ANSWERS,
+        garbled={(q1, "BEGIN PLAN"), (q2, "BEGIN QUICK"), (q3, "BEGIN HYPOTHESES"),
+                 (q4, "BEGIN DECISION")},
+        failing={(q2, "BEGIN READING")},
+    )
+
+
+def sweep(backend, out_dir, presets=None):
+    return ablation_sweep(
+        SWEEP_QUESTIONS, backend, SWEEP_RETRIEVER, presets=presets, out_dir=out_dir
+    )
+
+
+def test_a_shared_sweep_gives_the_results_of_one_backend_per_preset(tmp_path):
+    alone = {}
+
+    def factory(name):
+        alone[name] = pure_backend()
+        return alone[name]
+
+    separate = sweep(factory, tmp_path / "separate")
+    shared_backend = pure_backend()
+    shared = sweep(shared_backend, tmp_path / "shared")
+
+    def outcomes(rows):
+        return [
+            (name, r.question_id, r.predicted, r.correct, r.em, r.f1, r.system2_triggered,
+             r.usage + r.cached_usage, r.error)
+            for name, report in rows
+            for r in report.results
+        ]
+
+    assert outcomes(shared) == outcomes(separate)
+    assert all(r.cached_usage == TokenUsage() for _, report in separate for r in report.results)
+    failed = [r for _, report in shared for r in report.errored]
+    assert [r.question_id for r in failed] == ["q02"] * 3  # the presets that read
+    assert all(r.error == "[reading] backend down" for r in failed)
+    assert any(r.em == 0.0 for _, report in shared for r in report.results if r.error is None)
+    for rows, out in ((separate, tmp_path / "separate"), (shared, tmp_path / "shared")):
+        write_ablation_csv(rows, out / "ablation.csv")
+        write_accuracy_vs_tokens_csv(accuracy_vs_tokens(rows), out / "accuracy_vs_tokens.csv")
+    for name in ("ablation.csv", "accuracy_vs_tokens.csv"):
+        assert (tmp_path / "shared" / name).read_bytes() == (
+            tmp_path / "separate" / name
+        ).read_bytes()
+
+    # One call per distinct request; a request that raised is sent each time.
+    requests = [r for backend in alone.values() for r in backend.calls]
+    raised = [r for r in requests if shared_backend.fails(r)]
+    assert len(raised) == 3
+    assert len(shared_backend.calls) == len(set(requests) - set(raised)) + len(raised)
+    assert len(shared_backend.calls) < len(requests) / 2
+
+    # Reports and traces bill only the calls that reached the backend.
+    billed = sum((report.total_usage for _, report in shared), TokenUsage())
+    assert billed == shared_backend.billed
+    steps = [
+        step
+        for _, report in shared
+        for r in report.results
+        for step in json.loads(Path(r.trace_path).read_text(encoding="utf-8"))["steps"]
+    ]
+    assert sum(step["cached"] for step in steps) == len(requests) - len(shared_backend.calls)
+    assert any(step["cached"] and step["parsed"] is None for step in steps)  # replayed garbage
+    for (name, report), (_, alone_report) in zip(shared, separate):
+        totals, alone_totals = report.to_dict(), alone_report.to_dict()
+        for kind in ("prompt", "completion"):
+            assert totals[f"total_{kind}_tokens"] + totals[f"total_cached_{kind}_tokens"] == (
+                alone_totals[f"total_{kind}_tokens"]
+            ), name
+        assert totals["mean_completion_tokens"] == alone_totals["mean_completion_tokens"]
+
+
+NO_SHARE_PRESETS = [
+    (name, preset(name))
+    for name in (
+        "System 2 (Planning + Search + Decision)",
+        "System 2 (Planning + Search + Reading + Decision)",
+    )
+]
+
+
+def ordered_script():
+    """Entries without matchers, in the order the sweep below asks for them."""
+    entries = [
+        ScriptEntry(entry.completion)
+        for _, config in NO_SHARE_PRESETS
+        for question in SWEEP_QUESTIONS
+        for entry in entries_for(question, config, SWEEP_ANSWERS[question.id])
+    ]
+    return ScriptedBackend(entries)
+
+
+@pytest.mark.parametrize("case", ["warm", "ordered"])
+def test_a_sweep_shares_no_reply_when_replies_may_differ(tmp_path, case):
+    presets = NO_SHARE_PRESETS
+    if case == "warm":
+        presets = [(name, dataclasses.replace(c, temperature=0.5)) for name, c in presets]
+        backend = PureBackend(SWEEP_QUESTIONS, SWEEP_ANSWERS)
+    else:
+        backend = ordered_script()
+        assert backend.ordered
+    rows = sweep(backend, tmp_path / "sweep", presets)
+    assert all(not report.errored for _, report in rows)
+    assert all(r.cached_usage == TokenUsage() for _, report in rows for r in report.results)
+    steps = sum(
+        len(json.loads(Path(r.trace_path).read_text(encoding="utf-8"))["steps"])
+        for _, report in rows
+        for r in report.results
+    )
+    assert len(backend.calls) == steps
+    if case == "ordered":
+        assert backend.remaining == 0
+
+
+def test_resuming_a_finished_shared_sweep_makes_no_calls(tmp_path):
+    first = sweep(pure_backend(), tmp_path / "sweep")
+    idle = ScriptedBackend([])
+    again = sweep(idle, tmp_path / "sweep")
+    assert idle.calls == []
+    assert [[r.to_dict() for r in report.results] for _, report in again] == [
+        [r.to_dict() for r in report.results] for _, report in first
+    ]
+    assert any(r.cached_usage.total for _, report in again for r in report.results)
