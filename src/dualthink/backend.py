@@ -1,16 +1,14 @@
-"""Model backends: an HTTP chat-completions client, a scripted stand-in, and
-a wrapper that shares identical temperature-0 replies.
+"""Model backends: an HTTP chat-completions client and a scripted stand-in.
 
-All implement the one-method :class:`LLMBackend` protocol, so the engine,
+Both implement the one-method :class:`LLMBackend` protocol, so the engine,
 benchmark harness, and tests are indifferent to where completions come from.
 Token usage is taken from the server when reported and estimated from
-character counts otherwise, with the estimate flagged as such.
+character counts otherwise, with the estimate flagged as such. No backend
+stores replies: the engine replays identical ones (see :mod:`dualthink.engine`).
 """
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
 import json
 import logging
 import os
@@ -57,13 +55,10 @@ class ChatRequest:
 
 @dataclass(frozen=True)
 class Completion:
-    """A reply; ``cached`` when it was served again instead of billed."""
-
     text: str
     usage: TokenUsage
     model_id: str = ""
     usage_estimated: bool = False
-    cached: bool = False
 
 
 class LLMBackend(Protocol):
@@ -336,37 +331,6 @@ class ScriptedBackend:
                 )
             entries.append(ScriptEntry(completion, matcher, usage))
         return cls(entries)
-
-
-class SharedReplies:
-    """Sends each distinct temperature-0 request to ``inner`` once and serves
-    every later identical request from that first reply, marked ``cached``.
-
-    Replies are keyed by a digest of the request, so the prompts are not
-    kept alive. An unparseable reply is stored like any other: the model
-    would send the same text again. A ``BackendError`` is never stored, and
-    a request with ``temperature > 0`` always reaches ``inner``. Two
-    concurrent misses on one request both reach ``inner``.
-    """
-
-    def __init__(self, inner: LLMBackend):
-        self._inner = inner
-        self._replies: dict[bytes, Completion] = {}
-        self._lock = threading.Lock()
-
-    def complete(self, request: ChatRequest) -> Completion:
-        if request.temperature > 0:
-            return self._inner.complete(request)
-        # The repr holds every field of the request, each string quoted.
-        key = hashlib.blake2b(repr(request).encode(), digest_size=16).digest()
-        with self._lock:
-            reply = self._replies.get(key)
-        if reply is not None:
-            return reply
-        completion = self._inner.complete(request)
-        with self._lock:
-            self._replies.setdefault(key, dataclasses.replace(completion, cached=True))
-        return completion
 
 
 def scripted_backend(*entries: str | tuple[str, str] | ScriptEntry) -> ScriptedBackend:

@@ -21,8 +21,10 @@ the error of the stage first in canonical order is raised.
 
 Every backend call is recorded on the trace, including failed parse
 attempts; a stage that needed a retry therefore shows up once per attempt.
-A reply the backend served again from an identical earlier request is a
-step marked ``cached``, counted in the trace's ``cached_usage``.
+Given a ``replies`` dict, the engine replays a temperature-0 request found
+there instead of calling the backend, and stores each reply it gets; a
+replayed reply is parsed as usual and its step, marked ``cached``, counts
+in the trace's ``cached_usage``. A ``BackendError`` is never stored.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from .backend import ChatRequest, LLMBackend
+from .backend import ChatRequest, Completion, LLMBackend
 from .errors import BackendError, ConfigError, ParseError
 from .parsers import (
     extract_choice,
@@ -285,18 +287,25 @@ _STAGES: dict[Agent, _Stage] = {
 }
 
 
+def check_retriever(config: PipelineConfig, retriever: Retriever | None) -> None:
+    if Agent.SEARCH in config.stages and retriever is None:
+        raise ConfigError("the search stage is enabled but no retriever was given")
+
+
 class Engine:
-    """Binds a backend, an optional retriever, and a prompt library."""
+    """Binds a backend, an optional retriever, prompts, and replies to replay."""
 
     def __init__(
         self,
         backend: LLMBackend,
         retriever: Retriever | None = None,
         prompts: PromptLibrary | None = None,
+        replies: dict[ChatRequest, Completion] | None = None,
     ):
         self._backend = backend
         self._retriever = retriever
         self._prompts = prompts or PromptLibrary.default()
+        self._replies = replies
 
     def answer(self, question: Question, config: PipelineConfig | None = None) -> AnswerResult:
         """Answer one question.
@@ -305,8 +314,7 @@ class Engine:
         the calls made so far attached as ``trace``.
         """
         config = config or PipelineConfig()
-        if Agent.SEARCH in config.stages and self._retriever is None:
-            raise ConfigError("the search stage is enabled but no retriever was given")
+        check_retriever(config, self._retriever)
         run = _Run(question, config)
         try:
             return self._answer(run)
@@ -387,6 +395,7 @@ class Engine:
         config = run.config
         system_text, user_text = self._prompts.get(agent).render(**stage.values(run))
         prompt_text = user_text
+        replies = self._replies if config.temperature == 0 else None
         for attempt in range(1, config.max_parse_retries + 2):
             request = ChatRequest(
                 system_text=system_text,
@@ -395,12 +404,15 @@ class Engine:
                 max_tokens=config.max_tokens,
             )
             started = time.monotonic()
+            cached = replies is not None and request in replies
             try:
-                completion = self._backend.complete(request)
+                completion = replies[request] if cached else self._backend.complete(request)
             except BackendError as exc:
                 if exc.agent is None:
                     exc.agent = agent.value
                 raise
+            if replies is not None:
+                replies[request] = completion
             wall_ms = int((time.monotonic() - started) * 1000)
             failure: ParseError | None = None
             parsed = None
@@ -425,7 +437,7 @@ class Engine:
                     wall_ms=wall_ms,
                     usage_estimated=completion.usage_estimated,
                     start_ms=int((started - run.started) * 1000),
-                    cached=completion.cached,
+                    cached=cached,
                 )
             )
             if failure is None:

@@ -7,7 +7,11 @@ the full reasoning trace per question, and ``report.json``/``report.csv``
 are rewritten at the end. Rerunning skips questions already present in
 ``results.jsonl``; a torn last line, left by a crash mid-append, is dropped
 and its question answered again. Every other file is written whole or not
-at all (see :func:`write_atomic`).
+at all (see :func:`write_atomic`). That covers a process crash, not power
+loss: nothing is synced to disk. A run and a sweep share one loop: each
+question goes through all of its configurations before the next starts, so
+a sweep's presets replay a question's identical temperature-0 replies, and
+a resumed sweep re-bills at most the questions that were in flight.
 """
 
 from __future__ import annotations
@@ -19,13 +23,14 @@ import logging
 import os
 import threading
 import urllib.parse
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
-from .backend import LLMBackend, SharedReplies
-from .engine import Engine
+from .backend import LLMBackend
+from .engine import Engine, check_retriever
 from .errors import BackendError, ConfigError, FormatError, ParseError
 from .metrics import exact_match, f1
 from .presets import ablation_presets
@@ -236,72 +241,93 @@ def run_benchmark(
     prompts: PromptLibrary | None = None,
 ) -> Report:
     """Answer and score every question, resuming from ``out_dir`` if present."""
+    run = _Run(name, config, backend, None if out_dir is None else Path(out_dir))
+    return _answer_all(questions, [run], retriever, parallelism, prompts)[0]
+
+
+@dataclass
+class _Run:
+    """One configuration of a loop, its run directory if any, and its results."""
+
+    name: str
+    config: PipelineConfig
+    backend: LLMBackend
+    path: Path | None
+    results: dict[str, QuestionResult] = field(default_factory=dict)
+
+
+def _answer_all(
+    questions: Sequence[Question],
+    runs: Sequence[_Run],
+    retriever: Retriever | None,
+    parallelism: int,
+    prompts: PromptLibrary | None,
+) -> list[Report]:
+    """Checks every run and opens its directory, answers each question under
+    each run that lacks it, the runs in turn on one thread, then writes the
+    reports. Runs on one backend that is not ``ordered`` share each
+    question's replies."""
     if parallelism < 1:
         raise ConfigError(f"parallelism must be >= 1, got {parallelism}")
-    ids = [q.id for q in questions]
-    if len(set(ids)) != len(ids):
-        dupes = sorted({i for i in ids if ids.count(i) > 1})
+    dupes = _repeated(q.id for q in questions)
+    if dupes:
         raise ConfigError(f"duplicate question ids: {dupes}")
+    for run in runs:
+        check_retriever(run.config, retriever)
+    for run in runs:
+        if run.path is not None:
+            (run.path / "traces").mkdir(parents=True, exist_ok=True)
+            _check_config_snapshot(run.path / "config.json", run.config)
+            run.results = _load_results(run.path / "results.jsonl")
+    users = Counter(id(run.backend) for run in runs)
+    shared = [users[id(r.backend)] > 1 and not getattr(r.backend, "ordered", False) for r in runs]
+    lock = threading.Lock()
 
-    existing: dict[str, QuestionResult] = {}
-    results_path = traces_dir = None
-    if out_dir is not None:
-        out_path = Path(out_dir)
-        out_path.mkdir(parents=True, exist_ok=True)
-        traces_dir = out_path / "traces"
-        traces_dir.mkdir(exist_ok=True)
-        _check_config_snapshot(out_path / "config.json", config)
-        results_path = out_path / "results.jsonl"
-        if results_path.exists():
-            existing = _load_results(results_path)
-            if existing:
-                logger.info("resuming: %d results already on disk", len(existing))
-
-    engine = Engine(backend, retriever=retriever, prompts=prompts)
-    todo = [q for q in questions if q.id not in existing]
-    write_lock = threading.Lock()
-
-    def answer_one(question: Question) -> QuestionResult:
-        trace_path = str(traces_dir / trace_file_name(question.id)) if traces_dir else None
-        error = None
-        try:
-            trace = engine.answer(question, config).trace
-        except (ParseError, BackendError) as exc:
-            logger.error("question %s failed: %s", question.id, exc)
-            trace, error = exc.trace, str(exc)
-        result = score_result(
-            question,
-            trace.final_answer,
-            trace.chosen_option,
-            trace.system2_triggered,
-            trace.total_usage,
-            trace_path=trace_path,
-            usage_estimated=any(s.usage_estimated for s in trace.steps),
-            error=error,
-            cached_usage=trace.cached_usage,
-        )
-        if trace_path:
-            write_atomic(Path(trace_path), json.dumps(trace.to_dict()))
-        if results_path:
-            with write_lock:
-                with results_path.open("a", encoding="utf-8") as handle:
+    def answer(question: Question) -> None:
+        replies: dict[int, dict] = {}  # per backend, for this question only
+        for run, share in zip(runs, shared):
+            if question.id in run.results:
+                continue
+            memo = replies.setdefault(id(run.backend), {}) if share else None
+            engine = Engine(run.backend, retriever, prompts, memo)
+            trace_path = run.path and str(run.path / "traces" / trace_file_name(question.id))
+            error = None
+            try:
+                trace = engine.answer(question, run.config).trace
+            except (ParseError, BackendError) as exc:
+                logger.error("question %s failed: %s", question.id, exc)
+                trace, error = exc.trace, str(exc)
+            result = score_result(
+                question, trace.final_answer, trace.chosen_option, trace.system2_triggered,
+                trace.total_usage, cached_usage=trace.cached_usage, error=error,
+                trace_path=trace_path, usage_estimated=any(s.usage_estimated for s in trace.steps),
+            )
+            if trace_path is not None:
+                write_atomic(Path(trace_path), json.dumps(trace.to_dict()))
+                with lock, (run.path / "results.jsonl").open("a", encoding="utf-8") as handle:
                     handle.write(json.dumps(result.to_dict()) + "\n")
-        return result
+            run.results[question.id] = result
 
-    fresh: list[QuestionResult]
+    todo = [q for q in questions if any(q.id not in run.results for run in runs)]
     if parallelism == 1 or len(todo) <= 1:
-        fresh = [answer_one(q) for q in todo]
+        for question in todo:
+            answer(question)
     else:
         with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            fresh = list(pool.map(answer_one, todo))
+            list(pool.map(answer, todo))
 
-    all_results = sorted(
-        list(existing.values()) + fresh, key=lambda r: r.question_id
-    )
-    report = Report(name=name, config=config, results=all_results)
-    if out_dir is not None:
-        write_report(report, Path(out_dir))
-    return report
+    reports = [
+        Report(run.name, run.config, sorted(run.results.values(), key=lambda r: r.question_id))
+        for run in runs
+    ]
+    for run, report in zip(runs, reports):
+        if run.path is not None:
+            write_report(report, run.path)
+    return reports
+
+
+def _repeated(keys: Iterable[str]) -> list[str]:
+    return sorted(key for key, count in Counter(keys).items() if count > 1)
 
 
 def trace_file_name(question_id: str) -> str:
@@ -313,8 +339,11 @@ def trace_file_name(question_id: str) -> str:
 
 
 def _load_results(path: Path) -> dict[str, QuestionResult]:
-    """Results already on disk. A last line with no newline is a torn append:
-    it is cut off so its question runs again. Any other bad line is an error."""
+    """Results already on disk, if any. A last line with no newline is a torn
+    append: it is cut off so its question runs again. Any other bad line is
+    an error."""
+    if not path.exists():
+        return {}
     data = path.read_bytes()
     if data and not data.endswith(b"\n"):
         keep = data.rfind(b"\n") + 1
@@ -330,6 +359,8 @@ def _load_results(path: Path) -> dict[str, QuestionResult]:
         except (ValueError, KeyError, TypeError) as exc:
             raise FormatError(f"{path}: malformed result ({exc!r})", line=lineno) from exc
         results[result.question_id] = result
+    if results:
+        logger.info("%s: resuming, %d results already on disk", path, len(results))
     return results
 
 
@@ -461,33 +492,25 @@ def ablation_sweep(
 ) -> list[tuple[str, Report]]:
     """Run every preset over the same questions; one report per preset.
 
-    ``backend`` may be a factory taking the preset name, so scripted
-    backends get a fresh script per configuration. One backend serving
-    every preset is wrapped in :class:`SharedReplies` for the length of the
-    sweep, unless its replies depend on call order (``ordered``): the
-    presets then share each identical temperature-0 request's reply, and
-    the later presets record it as cached usage instead of billed.
+    Each question goes through every preset before the next one starts;
+    each preset keeps its own run directory, ``out_dir/<slug>``. ``backend``
+    may be a factory taking the preset name, so scripted backends get a
+    fresh script per configuration. When one backend serves every preset,
+    the presets share each question's identical temperature-0 replies,
+    unless its replies depend on call order (``ordered``), and the later
+    presets record them as cached usage instead of billed.
     """
-    if not callable(backend) and not getattr(backend, "ordered", False):
-        backend = SharedReplies(backend)
-    rows = []
-    for preset_name, config in presets if presets is not None else ablation_presets():
-        preset_backend = backend(preset_name) if callable(backend) else backend
-        run_dir = None
-        if out_dir is not None:
-            run_dir = Path(out_dir) / _slug(preset_name)
-        report = run_benchmark(
-            questions,
-            config,
-            preset_backend,
-            retriever,
-            parallelism=parallelism,
-            out_dir=run_dir,
-            name=preset_name,
-            prompts=prompts,
-        )
-        rows.append((preset_name, report))
-    return rows
+    presets = list(presets if presets is not None else ablation_presets())
+    repeated = _repeated(_slug(name) for name, _ in presets)
+    if repeated:
+        raise ConfigError(f"presets map to the same run directory: {repeated}")
+    runs = [
+        _Run(name, config, backend(name) if callable(backend) else backend,
+             None if out_dir is None else Path(out_dir) / _slug(name))
+        for name, config in presets
+    ]
+    reports = _answer_all(questions, runs, retriever, parallelism, prompts)
+    return [(run.name, report) for run, report in zip(runs, reports)]
 
 
 def _slug(name: str) -> str:

@@ -1,20 +1,15 @@
 import json
-import random
-import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
 from dualthink.backend import (
     ChatRequest,
-    Completion,
     HttpChatBackend,
     RetryPolicy,
     ScriptedBackend,
     ScriptEntry,
-    SharedReplies,
     estimate_tokens,
     scripted_backend,
 )
@@ -155,83 +150,6 @@ def test_scripted_from_file_rejects_a_malformed_entry_at_load(tmp_path, entry, m
     with pytest.raises(ConfigError) as info:
         ScriptedBackend.from_file(path)
     assert f"script {path} entry 1: {message}" in str(info.value)
-
-
-# --- shared replies ---------------------------------------------------------------
-
-
-class EchoBackend:
-    """Replies with a pure function of the request; counts its calls."""
-
-    def __init__(self):
-        self.calls = 0
-        self.fail_next = False
-        self._lock = threading.Lock()
-
-    def complete(self, request):
-        with self._lock:
-            self.calls += 1
-            if self.fail_next:
-                self.fail_next = False
-                raise BackendError("transient")
-        text = f"{request.system_text}|{request.user_text}|{request.max_tokens}"
-        return Completion(text, TokenUsage(len(request.user_text), len(text)), "echo")
-
-
-def test_shared_replies_serve_an_identical_request_once():
-    inner = EchoBackend()
-    shared = SharedReplies(inner)
-    request = ChatRequest(system_text="s", user_text="u")
-    first = shared.complete(request)
-    again = shared.complete(ChatRequest(system_text="s", user_text="u"))
-    assert inner.calls == 1
-    assert not first.cached and again.cached
-    assert (again.text, again.usage, again.model_id) == (first.text, first.usage, "echo")
-    # any other field of the request is another key
-    for other in (
-        ChatRequest(system_text="t", user_text="u"),
-        ChatRequest(system_text="s", user_text="v"),
-        ChatRequest(system_text="s", user_text="u", max_tokens=7),
-        ChatRequest(system_text="s|u", user_text="1024"),
-    ):
-        assert not shared.complete(other).cached
-    assert inner.calls == 5
-
-
-def test_shared_replies_store_no_error_and_share_nothing_above_temperature_zero():
-    inner = EchoBackend()
-    shared = SharedReplies(inner)
-    request = ChatRequest(system_text="s", user_text="u")
-    inner.fail_next = True
-    with pytest.raises(BackendError):
-        shared.complete(request)
-    assert not shared.complete(request).cached
-    assert shared.complete(request).cached
-    assert inner.calls == 2
-    warm = ChatRequest(system_text="s", user_text="u", temperature=0.7)
-    assert [shared.complete(warm).cached for _ in range(3)] == [False] * 3
-    assert inner.calls == 5
-
-
-def test_shared_replies_under_concurrent_calls_answer_each_request_with_its_own_reply():
-    inner = EchoBackend()
-    shared = SharedReplies(inner)
-    requests = [ChatRequest(system_text=f"s{i % 7}", user_text=f"u{i}") for i in range(60)]
-    work = requests * 5
-    random.Random(3).shuffle(work)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(16) as pool:
-            replies = list(pool.map(shared.complete, work, timeout=30))
-    finally:
-        sys.setswitchinterval(interval)
-    for request, reply in zip(work, replies):
-        assert reply.text == f"{request.system_text}|{request.user_text}|1024"
-    assert len(requests) <= inner.calls < len(work)
-    before = inner.calls
-    assert all(shared.complete(r).cached for r in requests)
-    assert inner.calls == before
 
 
 # --- retry policy ---------------------------------------------------------------

@@ -495,6 +495,26 @@ def test_ablate_applies_pipeline_settings_to_each_preset(tmp_path, capsys):
     assert (config["max_tokens"], config["temperature"]) == (64, 0.5)
 
 
+@pytest.mark.parametrize(
+    "presets, message",
+    [(None, "no retriever was given"), ("System 1,System 1", "'system-1'")],
+    ids=["search-without-retriever", "repeated-preset"],
+)
+def test_ablate_that_cannot_run_every_preset_exits_two_before_any_call(
+    tmp_path, capsys, presets, message
+):
+    rows = mcq_rows(2)
+    dataset = write_dataset(tmp_path / "data.jsonl", rows)
+    entries = entries_for_many(dataset_questions(rows), preset("System 1"), {"q01": "A", "q02": "A"})
+    script = write_script(tmp_path / "s.json", entries)
+    out = tmp_path / "sweep"
+    argv = ["ablate", "--dataset", dataset, "--backend", "scripted", "--script", script]
+    argv += ["--out", str(out)] + (["--presets", presets] if presets else [])
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --- index -------------------------------------------------------------------------
 
 

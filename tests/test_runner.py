@@ -1,8 +1,11 @@
 import csv
 import dataclasses
 import json
+import random
 import re
+import sys
 import threading
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -468,41 +471,51 @@ SWEEP_ANSWERS = {"q01": "A", "q02": "A", "q03": "nitrogen", "q04": "argon"}
 SWEEP_RETRIEVER = BM25Index.build([Doc("d1", "air is mostly nitrogen")])
 
 
-def pure_backend():
+def pure_backend(questions=SWEEP_QUESTIONS, answers=SWEEP_ANSWERS):
     q1, q2, q3, q4 = (q.text for q in SWEEP_QUESTIONS)
     return PureBackend(
-        SWEEP_QUESTIONS,
-        SWEEP_ANSWERS,
+        questions,
+        answers,
         garbled={(q1, "BEGIN PLAN"), (q2, "BEGIN QUICK"), (q3, "BEGIN HYPOTHESES"),
                  (q4, "BEGIN DECISION")},
         failing={(q2, "BEGIN READING")},
     )
 
 
-def sweep(backend, out_dir, presets=None):
+def sweep(backend, out_dir, presets=None, parallelism=1, questions=SWEEP_QUESTIONS):
     return ablation_sweep(
-        SWEEP_QUESTIONS, backend, SWEEP_RETRIEVER, presets=presets, out_dir=out_dir
+        questions, backend, SWEEP_RETRIEVER, presets=presets, out_dir=out_dir,
+        parallelism=parallelism,
     )
 
 
-def test_a_shared_sweep_gives_the_results_of_one_backend_per_preset(tmp_path):
+def outcomes(rows):
+    """What a sweep found, whichever of its calls were billed or replayed."""
+    return [
+        (name, r.question_id, r.predicted, r.correct, r.em, r.f1, r.system2_triggered,
+         r.usage + r.cached_usage, r.error)
+        for name, report in rows
+        for r in report.results
+    ]
+
+
+@pytest.mark.parametrize("parallelism", [1, 3])
+def test_a_shared_sweep_gives_the_results_of_one_backend_per_preset(tmp_path, parallelism):
     alone = {}
 
     def factory(name):
         alone[name] = pure_backend()
         return alone[name]
 
-    separate = sweep(factory, tmp_path / "separate")
-    shared_backend = pure_backend()
-    shared = sweep(shared_backend, tmp_path / "shared")
-
-    def outcomes(rows):
-        return [
-            (name, r.question_id, r.predicted, r.correct, r.em, r.f1, r.system2_triggered,
-             r.usage + r.cached_usage, r.error)
-            for name, report in rows
-            for r in report.results
-        ]
+    interval = sys.getswitchinterval()
+    if parallelism > 1:
+        sys.setswitchinterval(1e-6)  # interleave the workers as often as possible
+    try:
+        separate = sweep(factory, tmp_path / "separate", parallelism=parallelism)
+        shared_backend = pure_backend()
+        shared = sweep(shared_backend, tmp_path / "shared", parallelism=parallelism)
+    finally:
+        sys.setswitchinterval(interval)
 
     assert outcomes(shared) == outcomes(separate)
     assert all(r.cached_usage == TokenUsage() for _, report in separate for r in report.results)
@@ -558,8 +571,8 @@ def ordered_script():
     """Entries without matchers, in the order the sweep below asks for them."""
     entries = [
         ScriptEntry(entry.completion)
-        for _, config in NO_SHARE_PRESETS
         for question in SWEEP_QUESTIONS
+        for _, config in NO_SHARE_PRESETS
         for entry in entries_for(question, config, SWEEP_ANSWERS[question.id])
     ]
     return ScriptedBackend(entries)
@@ -596,3 +609,63 @@ def test_resuming_a_finished_shared_sweep_makes_no_calls(tmp_path):
         [r.to_dict() for r in report.results] for _, report in first
     ]
     assert any(r.cached_usage.total for _, report in again for r in report.results)
+
+
+class Killed(BaseException):
+    """The process dying in the middle of a backend call."""
+
+
+class DyingBackend:
+    """Passes ``calls`` requests to ``inner``, then dies on the next one."""
+
+    def __init__(self, inner, calls):
+        self.inner, self.calls_left, self.killed_at = inner, calls, None
+
+    def complete(self, request):
+        if self.calls_left == 0:
+            self.killed_at = request
+            raise Killed()
+        self.calls_left -= 1
+        return self.inner.complete(request)
+
+
+KILL_QUESTIONS = SWEEP_QUESTIONS + [make_mcq(i, gold="A") for i in range(5, 11)] + [
+    make_open(i, ["argon"]) for i in range(11, 17)
+]
+KILL_ANSWERS = {q.id: SWEEP_ANSWERS.get(q.id, "A" if q.options else "argon") for q in KILL_QUESTIONS}
+
+
+@pytest.mark.parametrize("seed", [3, 5, 7])
+def test_a_killed_sweep_rebills_at_most_the_question_in_flight(tmp_path, seed):
+    clean_backend = pure_backend(KILL_QUESTIONS, KILL_ANSWERS)
+    clean = sweep(clean_backend, tmp_path / "clean", questions=KILL_QUESTIONS)
+    per_question = Counter(clean_backend._route(r)[0] for r in clean_backend.calls)
+
+    calls = random.Random(seed).randrange(len(clean_backend.calls))
+    dying = DyingBackend(pure_backend(KILL_QUESTIONS, KILL_ANSWERS), calls)
+    with pytest.raises(Killed):
+        sweep(dying, tmp_path / "killed", questions=KILL_QUESTIONS)
+    fresh = pure_backend(KILL_QUESTIONS, KILL_ANSWERS)
+    resumed = sweep(fresh, tmp_path / "killed", questions=KILL_QUESTIONS)
+
+    in_flight = clean_backend._route(dying.killed_at)[0]
+    billed = len(dying.inner.calls) + len(fresh.calls)
+    assert billed <= len(clean_backend.calls) + per_question[in_flight]
+    assert outcomes(resumed) == outcomes(clean)
+
+
+def test_a_search_stage_without_a_retriever_is_rejected_before_any_call(tmp_path):
+    backend = pure_backend()
+    with pytest.raises(ConfigError, match="no retriever"):
+        ablation_sweep(SWEEP_QUESTIONS, backend, None, out_dir=tmp_path / "sweep")
+    assert backend.calls == []
+    assert not (tmp_path / "sweep").exists()
+
+
+def test_presets_that_map_to_one_run_directory_are_rejected(tmp_path):
+    backend = pure_backend()
+    presets = [("System 1", preset("System 1")), ("system  1", S1_ONLY)]
+    with pytest.raises(ConfigError, match="system-1"):
+        sweep(backend, tmp_path / "sweep", presets)
+    assert backend.calls == []
+    assert not (tmp_path / "sweep").exists()
