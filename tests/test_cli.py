@@ -561,6 +561,35 @@ def test_index_with_corpus_or_bm25_settings_exits_two(tmp_path, capsys):
     assert "--k1" in capsys.readouterr().err
 
 
+def test_index_of_format_version_one_exits_two_and_says_to_rebuild(tmp_path, capsys):
+    snapshot = tmp_path / "old-index.json"
+    snapshot.write_text(
+        json.dumps(
+            {
+                "format_version": 1,
+                "k1": 1.2,
+                "b": 0.75,
+                "avgdl": 3.0,
+                "doc_lengths": [3],
+                "docs": [{"id": "d1", "text": "eiffel tower paris"}],
+                "postings": {"eiffel": [[0, 1]], "tower": [[0, 1]], "paris": [[0, 1]]},
+            }
+        ),
+        encoding="utf-8",
+    )
+    assert ask_with_config(tmp_path, "", "--index", str(snapshot)) == 2
+    err = capsys.readouterr().err
+    assert str(snapshot) in err and "index build" in err
+
+
+def test_index_build_to_an_unwritable_path_exits_two(tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(json.dumps({"id": "d1", "text": "eiffel tower"}) + "\n", encoding="utf-8")
+    out = tmp_path / "missing-dir" / "index.json"
+    assert main(["index", "build", "--corpus", str(corpus), "--out", str(out)]) == 2
+    assert f"cannot write index {out}" in capsys.readouterr().err
+
+
 def test_index_build_rejects_a_bad_corpus(tmp_path, capsys):
     corpus = tmp_path / "corpus.jsonl"
     corpus.write_text("not json\n", encoding="utf-8")

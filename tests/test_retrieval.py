@@ -1,6 +1,9 @@
+import base64
 import json
 import math
 import random
+import struct
+import sys
 from collections import Counter
 
 import pytest
@@ -173,7 +176,7 @@ def test_save_load_preserves_scores(tmp_path):
 
 
 def test_snapshot_with_doc_titles_still_loads(tmp_path):
-    # Snapshots of format_version 1 may carry a "title" per document.
+    # A snapshot's documents may carry a "title"; load ignores it.
     index = BM25Index.build([Doc("d1", "alpha beta"), Doc("d2", "gamma")])
     path = tmp_path / "index.json"
     index.save(path)
@@ -186,12 +189,34 @@ def test_snapshot_with_doc_titles_still_loads(tmp_path):
 
 
 def test_load_rejects_unknown_snapshot_version(tmp_path):
+    # Version 1 held nested [idx, tf] postings; it must be rebuilt, not read.
+    version_one = {
+        "format_version": 1,
+        "k1": 1.2,
+        "b": 0.75,
+        "avgdl": 2.0,
+        "doc_lengths": [2, 2],
+        "docs": [{"id": "d0", "text": "apple pear"}, {"id": "d1", "text": "apple plum"}],
+        "postings": {"apple": [[0, 1], [1, 1]], "pear": [[0, 1]], "plum": [[1, 1]]},
+    }
     path = tmp_path / "index.json"
-    path.write_text(json.dumps({"format_version": 99}), encoding="utf-8")
-    with pytest.raises(IngestError):
-        BM25Index.load(path)
+    for snapshot in ({"format_version": 99}, version_one):
+        path.write_text(json.dumps(snapshot), encoding="utf-8")
+        with pytest.raises(IngestError) as info:
+            BM25Index.load(path)
+        assert str(path) in str(info.value) and "index build" in str(info.value)
     with pytest.raises(IngestError):
         BM25Index.load(tmp_path / "missing.json")
+
+
+def _pack(values):
+    """A snapshot column: base64 of little-endian int32."""
+    return base64.b64encode(struct.pack(f"<{len(values)}i", *values)).decode("ascii")
+
+
+def _unpack(text):
+    raw = base64.b64decode(text)
+    return list(struct.unpack(f"<{len(raw) // 4}i", raw))
 
 
 def _set(path, value):
@@ -208,6 +233,20 @@ def _set(path, value):
     return edit
 
 
+def _add_term(term, df):
+    """A snapshot edit that lists one more term, with ``df``, and no postings."""
+
+    def edit(snapshot):
+        snapshot["terms"].append(term)
+        snapshot["df"].append(df)
+        return snapshot
+
+    return edit
+
+
+# The snapshot of d0 "apple pear", d1 "apple plum", d2 "fig date" lists the
+# terms apple, pear, plum, fig, date with df [2, 1, 1, 1, 1]; its columns are
+# ids [0, 1, 0, 1, 2, 2] and tfs [1, 1, 1, 1, 1, 1]. Apple owns slots 0 and 1.
 @pytest.mark.parametrize(
     "edit",
     [
@@ -215,18 +254,23 @@ def _set(path, value):
         pytest.param(
             lambda snapshot: {k: v for k, v in snapshot.items() if k != "docs"}, id="no-docs"
         ),
-        pytest.param(_set(("postings", "apple", 0), [0]), id="posting-without-tf"),
-        pytest.param(_set(("postings", "apple", 0), [0, "x"]), id="tf-not-a-number"),
-        pytest.param(_set(("postings", "apple", 1), [3, 1]), id="doc-index-out-of-range"),
-        pytest.param(_set(("postings", "apple", 1), [-1, 1]), id="negative-doc-index"),
-        pytest.param(_set(("postings", "apple", 1), [0, 1]), id="repeated-doc-index"),
-        pytest.param(_set(("postings", "apple"), [[1, 1], [0, 1]]), id="descending-doc-indices"),
-        pytest.param(_set(("postings", "apple", 0), [0, 0]), id="tf-below-one"),
-        pytest.param(_set(("postings", "apple"), []), id="empty-posting-list"),
+        pytest.param(_set(("tfs",), _pack([1, 1, 1, 1, 1])), id="posting-without-tf"),
+        pytest.param(_set(("tfs",), [1, 1, 1, 1, 1, 1]), id="tf-not-a-number"),
+        pytest.param(_set(("ids",), _pack([0, 3, 0, 1, 2, 2])), id="doc-index-out-of-range"),
+        pytest.param(_set(("ids",), _pack([-1, 1, 0, 1, 2, 2])), id="negative-doc-index"),
+        pytest.param(_set(("ids",), _pack([0, 0, 0, 1, 2, 2])), id="repeated-doc-index"),
+        pytest.param(_set(("ids",), _pack([1, 0, 0, 1, 2, 2])), id="descending-doc-indices"),
+        pytest.param(_set(("tfs",), _pack([0, 1, 1, 1, 1, 1])), id="tf-below-one"),
+        pytest.param(_add_term("kiwi", 0), id="empty-posting-list"),
         pytest.param(_set(("doc_lengths",), [2, 2]), id="short-doc-lengths"),
         pytest.param(_set(("doc_lengths",), [2, 2, 0]), id="zero-doc-length"),
         pytest.param(_set(("b",), 1.5), id="b-above-one"),
         pytest.param(_set(("avgdl",), 0), id="zero-avgdl"),
+        pytest.param(_set(("ids",), "AAAA!AAA"), id="invalid-base64"),
+        pytest.param(_set(("ids",), base64.b64encode(bytes(23)).decode()), id="ids-not-int32"),
+        pytest.param(_set(("df",), [2, 1, 1, 1, 2]), id="df-sum-not-column-length"),
+        pytest.param(_set(("terms",), ["apple", "pear", "plum", "fig"]), id="terms-and-df-differ"),
+        pytest.param(_set(("terms", 1), "apple"), id="repeated-term"),
     ],
 )
 def test_load_rejects_malformed_snapshots(tmp_path, edit):
@@ -234,11 +278,79 @@ def test_load_rejects_malformed_snapshots(tmp_path, edit):
     docs = [Doc("d0", "apple pear"), Doc("d1", "apple plum"), Doc("d2", "fig date")]
     BM25Index.build(docs).save(path)
     snapshot = json.loads(path.read_text(encoding="utf-8"))
-    assert snapshot["postings"]["apple"] == [[0, 1], [1, 1]]
+    assert snapshot["terms"] == ["apple", "pear", "plum", "fig", "date"]
+    assert snapshot["df"] == [2, 1, 1, 1, 1]
+    assert _unpack(snapshot["ids"]) == [0, 1, 0, 1, 2, 2]
+    assert _unpack(snapshot["tfs"]) == [1, 1, 1, 1, 1, 1]
     path.write_text(json.dumps(edit(snapshot)), encoding="utf-8")
     with pytest.raises(IngestError) as info:
         BM25Index.load(path)
     assert str(path) in str(info.value)
+
+
+def test_save_that_fails_partway_keeps_the_old_snapshot(tmp_path):
+    # A file-size limit makes the write fail with EFBIG partway through the
+    # new snapshot (the interpreter ignores SIGXFSZ), as a full disk would.
+    resource = pytest.importorskip("resource")
+    path = tmp_path / "index.json"
+    old = BM25Index.build([Doc("d0", "apple pear"), Doc("d1", "fig")])
+    old.save(path)
+    new = BM25Index.build([Doc(f"d{i}", " ".join(_WORDS[i:] * 20)) for i in range(10)])
+    soft, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+    resource.setrlimit(resource.RLIMIT_FSIZE, (2000, hard))
+    try:
+        with pytest.raises(IngestError) as info:
+            new.save(path)
+    finally:
+        resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
+    assert str(path) in str(info.value)
+    assert BM25Index.load(path).docs == old.docs
+    assert [p.name for p in tmp_path.iterdir()] == ["index.json"]
+
+
+def _zipf_docs(seed, n_docs, vocabulary):
+    rng = random.Random(seed)
+    words = [f"w{i}" for i in range(vocabulary)]
+    weights = [1 / (rank + 1) for rank in range(vocabulary)]
+    return [
+        Doc(f"d{i}", " ".join(rng.choices(words, weights, k=rng.randint(10, 60))))
+        for i in range(n_docs)
+    ]
+
+
+def test_postings_are_ascending_doc_indices_whose_length_is_the_df(tmp_path):
+    # Callers (the benchmark's traced retriever among them) read
+    # len(index.postings.get(term, ())) as the term's document frequency.
+    docs = _zipf_docs(11, 300, 400)
+    built = BM25Index.build(docs)
+    path = tmp_path / "index.json"
+    built.save(path)
+    token_sets = [set(tokenize(d.text)) for d in docs]
+    for index in (built, BM25Index.load(path)):
+        assert set(index.postings) == set().union(*token_sets)
+        for term, column in index.postings.items():
+            holders = [i for i, tokens in enumerate(token_sets) if term in tokens]
+            assert len(column) == len(holders) and list(column) == holders
+            assert all(a < b for a, b in zip(column, column[1:]))
+            df = len(holders)
+            assert index.idf(term) == math.log((len(docs) - df + 0.5) / (df + 0.5) + 1)
+        assert len(index.postings.get("absent", ())) == 0
+
+
+def test_postings_columns_take_under_16_bytes_per_posting(tmp_path):
+    # Two int32 columns cost 8 bytes a posting plus about 160 bytes of array
+    # headers a term; a list of (idx, tf) tuples costs about 64 a posting. The
+    # corpus has about 30 postings a term, as the 10k-doc benchmark corpus has.
+    docs = _zipf_docs(12, 2000, 2000)
+    built = BM25Index.build(docs)
+    path = tmp_path / "index.json"
+    built.save(path)
+    for index in (built, BM25Index.load(path)):
+        n_postings = sum(len(column) for column in index.postings.values())
+        assert n_postings / len(index.postings) > 20
+        size = sum(sys.getsizeof(c) for c in index.postings.values())
+        size += sum(sys.getsizeof(c) for c in index.tfs.values())
+        assert size / n_postings < 16
 
 
 def test_load_corpus_jsonl(tmp_path):
