@@ -21,10 +21,14 @@ the error of the stage first in canonical order is raised.
 
 Every backend call is recorded on the trace, including failed parse
 attempts; a stage that needed a retry therefore shows up once per attempt.
-Given a ``replies`` dict, the engine replays a temperature-0 request found
-there instead of calling the backend, and stores each reply it gets; a
-replayed reply is parsed as usual and its step, marked ``cached``, counts
-in the trace's ``cached_usage``. A ``BackendError`` is never stored.
+Given a ``memo`` dict, a temperature-0 stage is stored under its agent, its
+first request, and the config values its parser or search may read unshown
+in the prompt: ``max_parse_retries``, ``max_hypotheses``, ``k_retrieval``.
+A hit still renders the prompt, but makes no call, parse or search: it
+appends the stored steps, marked ``cached`` (counted in ``cached_usage``),
+then sets the parsed outputs (for search, also its docs) or raises the
+stage's used-up ``ParseError`` again. A ``BackendError`` is never stored.
+A memo serves one backend, retriever and prompt library.
 """
 
 from __future__ import annotations
@@ -32,10 +36,10 @@ from __future__ import annotations
 import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable
 
-from .backend import ChatRequest, Completion, LLMBackend
+from .backend import ChatRequest, LLMBackend
 from .errors import BackendError, ConfigError, ParseError
 from .parsers import (
     extract_choice,
@@ -293,19 +297,19 @@ def check_retriever(config: PipelineConfig, retriever: Retriever | None) -> None
 
 
 class Engine:
-    """Binds a backend, an optional retriever, prompts, and replies to replay."""
+    """Binds a backend, an optional retriever, prompts, and a stage memo."""
 
     def __init__(
         self,
         backend: LLMBackend,
         retriever: Retriever | None = None,
         prompts: PromptLibrary | None = None,
-        replies: dict[ChatRequest, Completion] | None = None,
+        memo: dict[tuple, tuple[tuple[AgentStep, ...], dict[str, Any] | str]] | None = None,
     ):
         self._backend = backend
         self._retriever = retriever
         self._prompts = prompts or PromptLibrary.default()
-        self._replies = replies
+        self._memo = memo
 
     def answer(self, question: Question, config: PipelineConfig | None = None) -> AnswerResult:
         """Answer one question.
@@ -325,7 +329,7 @@ class Engine:
     def _answer(self, run: _Run) -> AnswerResult:
         question, config = run.question, run.config
         if config.system1_enabled:
-            self._call(Agent.QUICK, run, run.steps)
+            self._stage(Agent.QUICK, run, run.steps)
             if not config.force_system2 and self._gate_accepts(run):
                 final = run.quick.final_answer
                 chosen = None
@@ -361,7 +365,7 @@ class Engine:
         if not run.config.reflection_enabled:
             return True
         try:
-            self._call(Agent.REFLECTION, run, run.steps)
+            self._stage(Agent.REFLECTION, run, run.steps)
         except ParseError as exc:
             # The gate fails open: an unreadable verdict means escalate.
             logger.warning("reflection unparseable (%s); escalating", exc.reason)
@@ -372,13 +376,34 @@ class Engine:
         return run.reflection.decision is Verdict.ACCEPT
 
     def _stage(self, agent: Agent, run: _Run, steps: list[AgentStep]) -> None:
-        self._call(agent, run, steps)
-        if agent is Agent.SEARCH:
-            run.docs_by_subquestion = self._retrieve(run)
+        """Runs one row of the stage table, or replays it from the memo, then
+        sets its outputs on ``run`` or raises its parse failure."""
+        config = run.config
+        system_text, user_text = self._prompts.get(agent).render(**_STAGES[agent].values(run))
+        request = ChatRequest(system_text, user_text, config.temperature, config.max_tokens)
+        key = (agent, request, config.max_parse_retries, config.max_hypotheses, config.k_retrieval)
+        memo = self._memo if config.temperature == 0 else None
+        if memo is not None and key in memo:
+            stored, outcome = memo[key]
+            start_ms = int((time.monotonic() - run.started) * 1000)
+            steps.extend(replace(s, wall_ms=0, start_ms=start_ms, cached=True) for s in stored)
+        else:
+            first = len(steps)
+            outcome = self._call(agent, run, request, steps)
+            if agent is Agent.SEARCH and not isinstance(outcome, str):
+                outcome["docs_by_subquestion"] = self._retrieve(run, outcome["decisions"])
+            if memo is not None:
+                memo[key] = (tuple(steps[first:]), outcome)
+        if isinstance(outcome, str):
+            raise ParseError(outcome, agent.value)
+        for name, value in outcome.items():
+            setattr(run, name, value)
 
-    def _retrieve(self, run: _Run) -> dict[str, list[RetrievedDoc]]:
+    def _retrieve(
+        self, run: _Run, decisions: tuple[SearchDecision, ...]
+    ) -> dict[str, list[RetrievedDoc]]:
         docs_by_sq: dict[str, list[RetrievedDoc]] = {pid: [] for pid in run.plan.ids}
-        for decision in run.decisions:
+        for decision in decisions:
             if not decision.needs_retrieval:
                 continue
             merged: dict[str, RetrievedDoc] = {}
@@ -388,31 +413,21 @@ class Engine:
             docs_by_sq[decision.subquestion_id] = list(merged.values())
         return docs_by_sq
 
-    def _call(self, agent: Agent, run: _Run, steps: list[AgentStep]) -> None:
-        """Runs one row of the stage table, retrying unparseable replies;
-        each attempt's step goes to ``steps``."""
+    def _call(self, agent: Agent, run: _Run, request: ChatRequest, steps: list) -> dict | str:
+        """Sends a stage's request, retrying unparseable replies; each
+        attempt's step goes to ``steps``. Returns the parsed outputs by name,
+        or the last parse failure's reason once the retries are used up."""
         stage = _STAGES[agent]
         config = run.config
-        system_text, user_text = self._prompts.get(agent).render(**stage.values(run))
-        prompt_text = user_text
-        replies = self._replies if config.temperature == 0 else None
+        user_text = request.user_text
         for attempt in range(1, config.max_parse_retries + 2):
-            request = ChatRequest(
-                system_text=system_text,
-                user_text=prompt_text,
-                temperature=config.temperature,
-                max_tokens=config.max_tokens,
-            )
             started = time.monotonic()
-            cached = replies is not None and request in replies
             try:
-                completion = replies[request] if cached else self._backend.complete(request)
+                completion = self._backend.complete(request)
             except BackendError as exc:
                 if exc.agent is None:
                     exc.agent = agent.value
                 raise
-            if replies is not None:
-                replies[request] = completion
             wall_ms = int((time.monotonic() - started) * 1000)
             failure: ParseError | None = None
             parsed = None
@@ -430,27 +445,24 @@ class Engine:
                 AgentStep(
                     agent=agent,
                     attempt=attempt,
-                    prompt=prompt_text,
+                    prompt=request.user_text,
                     completion=completion.text,
                     parsed=parsed,
                     usage=completion.usage,
                     wall_ms=wall_ms,
                     usage_estimated=completion.usage_estimated,
                     start_ms=int((started - run.started) * 1000),
-                    cached=cached,
                 )
             )
             if failure is None:
-                for name, output in zip(stage.fields, outputs):
-                    setattr(run, name, output)
-                return
+                return dict(zip(stage.fields, outputs))
             if attempt > config.max_parse_retries:
-                failure.agent = agent.value
-                raise failure
+                return failure.reason
             logger.info(
                 "%s attempt %d unparseable (%s); retrying", agent.value, attempt, failure.reason
             )
-            prompt_text = user_text + _RETRY_SUFFIX.format(reason=failure.reason)
+            retry_text = user_text + _RETRY_SUFFIX.format(reason=failure.reason)
+            request = replace(request, user_text=retry_text)
 
 
 # -- prompt assembly helpers ----------------------------------------------

@@ -10,8 +10,9 @@ and its question answered again. Every other file is written whole or not
 at all (see :func:`write_atomic`). That covers a process crash, not power
 loss: nothing is synced to disk. A run and a sweep share one loop: each
 question goes through all of its configurations before the next starts, so
-a sweep's presets replay a question's identical temperature-0 replies, and
-a resumed sweep re-bills at most the questions that were in flight.
+a sweep's presets replay a question's identical temperature-0 stages from
+one engine memo, and a resumed sweep re-bills at most the questions that
+were in flight.
 """
 
 from __future__ import annotations
@@ -50,12 +51,12 @@ from .types import (
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QuestionResult:
     """Scored outcome for one question; ``error`` is set when it crashed.
 
-    ``usage`` counts the billed calls and ``cached_usage`` the replies
-    served again from an identical earlier request.
+    ``usage`` counts the billed calls and ``cached_usage`` the steps
+    replayed from an identical earlier stage.
     """
 
     question_id: str
@@ -265,8 +266,8 @@ def _answer_all(
 ) -> list[Report]:
     """Checks every run and opens its directory, answers each question under
     each run that lacks it, the runs in turn on one thread, then writes the
-    reports. Runs on one backend that is not ``ordered`` share each
-    question's replies."""
+    reports. Runs on one backend that is not ``ordered`` share one stage
+    memo per question, dropped when the question is done."""
     if parallelism < 1:
         raise ConfigError(f"parallelism must be >= 1, got {parallelism}")
     dupes = _repeated(q.id for q in questions)
@@ -284,11 +285,11 @@ def _answer_all(
     lock = threading.Lock()
 
     def answer(question: Question) -> None:
-        replies: dict[int, dict] = {}  # per backend, for this question only
+        memos: dict[int, dict] = {}  # per backend, for this question only
         for run, share in zip(runs, shared):
             if question.id in run.results:
                 continue
-            memo = replies.setdefault(id(run.backend), {}) if share else None
+            memo = memos.setdefault(id(run.backend), {}) if share else None
             engine = Engine(run.backend, retriever, prompts, memo)
             trace_path = run.path and str(run.path / "traces" / trace_file_name(question.id))
             error = None
@@ -385,8 +386,12 @@ def write_atomic(path: Path, text: str) -> None:
     a crash leaves the old file or the new one, never half of one. The temp
     name ends in ``.tmp``, never ``.json``."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8", newline="")
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(text, encoding="utf-8", newline="")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
@@ -496,9 +501,10 @@ def ablation_sweep(
     each preset keeps its own run directory, ``out_dir/<slug>``. ``backend``
     may be a factory taking the preset name, so scripted backends get a
     fresh script per configuration. When one backend serves every preset,
-    the presets share each question's identical temperature-0 replies,
-    unless its replies depend on call order (``ordered``), and the later
-    presets record them as cached usage instead of billed.
+    the presets share each question's identical temperature-0 stages,
+    unless its replies depend on call order (``ordered``): a later preset
+    replays the stage's steps as cached usage instead of billed, with its
+    parsed outputs, and makes no call, parse or search for it.
     """
     presets = list(presets if presets is not None else ablation_presets())
     repeated = _repeated(_slug(name) for name, _ in presets)

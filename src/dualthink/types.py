@@ -112,7 +112,7 @@ class Question:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TokenUsage:
     prompt_tokens: int = 0
     completion_tokens: int = 0
@@ -329,8 +329,8 @@ class AgentStep:
     ``parsed`` is None for attempts whose completion could not be parsed.
     ``start_ms`` is when the call began, in ms since the answer began, and
     ``wall_ms`` how long it took; stages that overlap have overlapping spans.
-    ``cached`` marks a reply served again from an identical earlier request
-    instead of billed.
+    ``cached`` marks a step replayed from an identical earlier stage instead
+    of billed; its ``start_ms`` is when the replay began, and ``wall_ms`` 0.
     """
 
     agent: Agent

@@ -340,15 +340,16 @@ def test_reading_citations_are_validated_against_retrieved_docs():
 # --- evidence passthrough -----------------------------------------------------
 
 
-def test_without_reading_integration_cites_document_ids():
-    config = PipelineConfig(
-        stages=frozenset(SYSTEM2_STAGES) - {Agent.READING},
-        system1_enabled=False,
-        reflection_enabled=False,
-        force_system2=True,
-        k_retrieval=2,
-    )
-    retriever = SpyRetriever({"iron lattice tower": [("dA", "tower text")]})
+NO_READING = PipelineConfig(
+    stages=frozenset(SYSTEM2_STAGES) - {Agent.READING},
+    system1_enabled=False,
+    reflection_enabled=False,
+    force_system2=True,
+    k_retrieval=2,
+)
+
+
+def _no_reading_entries():
     plan = "BEGIN PLAN\nP1: Which tower is meant?\nEND PLAN"
     search = "BEGIN SEARCH\nP1: RETRIEVE\nP1.Q1: iron lattice tower\nEND SEARCH"
     hyp = (
@@ -365,14 +366,18 @@ def test_without_reading_integration_cites_document_ids():
         "END INTEGRATION"
     )
     decision = "BEGIN DECISION\nANSWER: A\nRANKING: H1, H2\nEND DECISION"
-    entries = [
+    return [
         ScriptEntry(wrap(plan), matcher="BEGIN PLAN"),
         ScriptEntry(wrap(search), matcher="BEGIN SEARCH"),
         ScriptEntry(wrap(hyp), matcher="BEGIN HYPOTHESES"),
         ScriptEntry(wrap(integration), matcher="BEGIN INTEGRATION"),
         ScriptEntry(wrap(decision), matcher="BEGIN DECISION"),
     ]
-    result = run(MCQ, config, entries, retriever=retriever)
+
+
+def test_without_reading_integration_cites_document_ids():
+    retriever = SpyRetriever({"iron lattice tower": [("dA", "tower text")]})
+    result = run(MCQ, NO_READING, _no_reading_entries(), retriever=retriever)
     integration_step = [s for s in result.trace.steps if s.agent is Agent.INTEGRATION][0]
     assert "dA:" in integration_step.prompt
     assert result.final_answer == "A"
@@ -714,3 +719,144 @@ def test_every_concurrent_answer_has_its_hypothesis_call_in_flight_at_once():
         results = list(pool.map(lambda q: engine.answer(q, S2_FULL), questions))
     assert [r.chosen_option for r in results] == ["A"] * len(questions)
     assert backend.calls == len(questions) * len(SYSTEM2_STAGES)
+
+
+# --- the stage memo's key ---------------------------------------------------------
+
+#: The config values in the memo key: a parser or search may read them unshown.
+MEMO_KEY = {"max_parse_retries", "max_hypotheses", "k_retrieval"}
+
+#: How each run field a parser may read shows in the stage's rendered prompt.
+SHOWN = {
+    "question": lambda run, prompt: run.question.text in prompt
+    and all(f"{label}: {text}" in prompt for label, text in run.question.options),
+    "quick": lambda run, prompt: all(
+        f"SQ{step.index}: {step.subquestion}" in prompt for step in run.quick.steps
+    ),
+    "plan": lambda run, prompt: all(
+        f"{item.id}: {item.text}" in prompt for item in run.plan.subquestions
+    ),
+    "docs_by_subquestion": lambda run, prompt: all(
+        doc.doc_id in prompt for docs in run.docs_by_subquestion.values() for doc in docs
+    ),
+    "insights": lambda run, prompt: all(
+        f"{i.id} (for {i.subquestion_id}" in prompt for i in run.insights
+    ),
+    "hypotheses": lambda run, prompt: all(
+        engine_module._hypothesis_line(h) in prompt for h in run.hypotheses
+    ),
+    "evidence_ids()": lambda run, prompt: all(
+        re.search(rf"^{re.escape(evidence_id)}[ :]", prompt, re.M)
+        for evidence_id in run.evidence_ids()
+    ),
+}
+
+
+class Recorder:
+    """Stands in for a ``_Run`` or its config and records each field read;
+    a method call is recorded as one read, of its result."""
+
+    def __init__(self, inner, reads, prefix=""):
+        self.__dict__.update(_inner=inner, _reads=reads, _prefix=prefix)
+
+    def __getattr__(self, name):
+        value = getattr(self._inner, name)
+        if name == "config":
+            return Recorder(value, self._reads, "config.")
+        self._reads.add(self._prefix + name + ("()" if callable(value) else ""))
+        return value
+
+
+def _answered_run(monkeypatch, question, config, entries, retriever):
+    """Answers a question; returns the engine, its finished ``_Run`` and trace."""
+    runs = []
+
+    class KeptRun(engine_module._Run):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            runs.append(self)
+
+    monkeypatch.setattr(engine_module, "_Run", KeptRun)
+    engine = Engine(ScriptedBackend(entries), retriever=retriever)
+    trace = engine.answer(question, config).trace
+    return engine, runs[0], trace
+
+
+KEY_CASES = {
+    "mcq-full": (
+        MCQ,
+        dataclasses.replace(FULL, k_retrieval=2),
+        lambda: [
+            ScriptEntry(quick_completion("A"), matcher="BEGIN QUICK"),
+            ScriptEntry(reflection_completion(Verdict.ESCALATE), matcher="BEGIN REFLECTION"),
+        ] + _retrieval_entries(),
+        {"iron lattice tower": [("dA", "tower text")], "tower champ de mars": [("dC", "mars")]},
+    ),
+    "mcq-no-reading": (
+        MCQ, NO_READING, _no_reading_entries, {"iron lattice tower": [("dA", "tower text")]}
+    ),
+    "open-full": (OPEN, FULL, lambda: entries_for(OPEN, FULL, "nitrogen"), {}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(KEY_CASES))
+def test_every_value_a_parser_or_search_reads_is_in_the_prompt_or_the_memo_key(
+    monkeypatch, case
+):
+    question, config, entries, docs = KEY_CASES[case]
+    engine, run, trace = _answered_run(
+        monkeypatch, question, config, entries(), SpyRetriever(docs)
+    )
+    library = engine_module.PromptLibrary.default()
+    checked = set()
+    for step in trace.steps:
+        stage = engine_module._STAGES[step.agent]
+        reads = set()
+        stage.parse(step.completion, Recorder(run, reads))
+        own = set(stage.fields)
+        if step.agent is Agent.SEARCH:
+            engine._retrieve(Recorder(run, reads), run.decisions)
+            own.add("docs_by_subquestion")
+        for read in sorted(reads - own):
+            name = read.removeprefix("config.")
+            if read.startswith("config.") and name not in MEMO_KEY:
+                changed = dataclasses.replace(
+                    run, config=dataclasses.replace(config, **{name: getattr(config, name) + 1})
+                )
+                _, prompt = library.get(step.agent).render(**stage.values(changed))
+                assert prompt != step.prompt, f"{step.agent.value} reads {read} unshown"
+            elif not read.startswith("config."):
+                assert read in SHOWN, f"{step.agent.value} reads {read}: add it to SHOWN"
+                assert SHOWN[read](run, step.prompt), f"{step.agent.value}: {read} unshown"
+            checked.add(read)
+    assert {"question", "plan", "hypotheses", "evidence_ids()", "config.max_hypotheses"} <= checked
+    assert ("quick" in checked) == config.system1_enabled
+    assert ("config.k_retrieval" in checked) == bool(docs)
+
+
+def test_hypothesis_reads_only_the_question_and_the_config(monkeypatch):
+    question, config, entries, docs = KEY_CASES["mcq-full"]
+    _, run, trace = _answered_run(monkeypatch, question, config, entries(), SpyRetriever(docs))
+    stage = engine_module._STAGES[Agent.HYPOTHESIS]
+    reads = set()
+    stage.values(Recorder(run, reads))
+    step = next(step for step in trace.steps if step.agent is Agent.HYPOTHESIS)
+    stage.parse(step.completion, Recorder(run, reads))
+    assert {read.split(".")[0] for read in reads} == {"question", "config"}
+
+
+@pytest.mark.parametrize("name", sorted(MEMO_KEY))
+def test_a_stage_replays_from_the_memo_only_under_the_same_key_values(name):
+    question, config, entries, docs = KEY_CASES["mcq-full"]
+    backend = RoutedBackend({question.text: {e.matcher: e.completion for e in entries()}})
+    retriever = SpyRetriever(docs)
+    engine = Engine(backend, retriever=retriever, memo={})
+    first = engine.answer(question, config).trace
+    calls, searches = backend.calls, len(retriever.calls)
+    again = engine.answer(question, config).trace
+    assert (backend.calls, len(retriever.calls)) == (calls, searches)
+    assert all(step.cached and step.wall_ms == 0 for step in again.steps)
+    assert _untimed(again) == [dataclasses.replace(s, cached=True) for s in _untimed(first)]
+    assert (again.cached_usage, again.final_answer) == (first.total_usage, first.final_answer)
+    engine.answer(question, dataclasses.replace(config, **{name: getattr(config, name) + 1}))
+    assert backend.calls == 2 * calls

@@ -10,8 +10,10 @@ from pathlib import Path
 
 import pytest
 
+import dualthink.engine as engine_module
 from dualthink.backend import Completion, ScriptEntry, ScriptedBackend
 from dualthink.errors import BackendError, ConfigError, FormatError
+from dualthink.parsers import serialize_search
 from dualthink.presets import preset
 from dualthink.retrieval import BM25Index, Doc
 from dualthink.runner import (
@@ -26,14 +28,16 @@ from dualthink.runner import (
     write_atomic,
 )
 from dualthink.types import (
+    Agent,
     Difficulty,
     PipelineConfig,
     Question,
     QuestionKind,
+    SearchDecision,
     TokenUsage,
 )
 
-from scripting import entries_for, entries_for_many, quick_completion
+from scripting import entries_for, entries_for_many, quick_completion, wrap
 
 S1_ONLY = PipelineConfig(stages=frozenset(), reflection_enabled=False)
 
@@ -363,6 +367,22 @@ def test_write_atomic_replaces_whole_files_and_leaves_no_temp(tmp_path, monkeypa
     assert not any(p.name.endswith(".json") and p != path for p in tmp_path.iterdir())
 
 
+def test_a_failed_write_keeps_the_old_file_and_leaves_no_temp(tmp_path, monkeypatch):
+    path = tmp_path / "report.json"
+    write_atomic(path, "old")
+    write_text = Path.write_text
+
+    def disk_full(self, text, *args, **kwargs):
+        write_text(self, text[: len(text) // 2], *args, **kwargs)
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(Path, "write_text", disk_full)
+    with pytest.raises(OSError, match="No space left"):
+        write_atomic(path, "new text that does not fit")
+    assert path.read_text(encoding="utf-8") == "old"
+    assert list(tmp_path.iterdir()) == [path]
+
+
 # --- ablation sweep -------------------------------------------------------------
 
 
@@ -407,13 +427,15 @@ class PureBackend:
     """Replies as a pure function of the request: the question is the second
     line of the user text and the agent the block tag it asks for.
 
+    Search looks the question up for the plan's one subquestion.
     Integration cites K1 only when the prompt holds that insight, and
     decision ranks hypotheses only when asked to, so every preset gets a
     reply it can parse. The first attempt of a (question, tag) in
-    ``garbled`` is unparseable; every call for one in ``failing`` raises.
+    ``garbled`` is unparseable, and every attempt of one in ``hopeless``;
+    every call for one in ``failing`` raises.
     """
 
-    def __init__(self, questions, answers, garbled=(), failing=()):
+    def __init__(self, questions, answers, garbled=(), failing=(), hopeless=()):
         lean = {
             "BEGIN INTEGRATION": preset(
                 "System 2 (Planning + Search + Hypothesis + Integration + Decision)"
@@ -429,7 +451,9 @@ class PureBackend:
             for tag, config in lean.items():
                 entry = next(e for e in entries_for(question, config, answer) if e.matcher == tag)
                 self.replies[question.text, tag, True] = entry.completion
-        self.garbled, self.failing = set(garbled), set(failing)
+            lookup = SearchDecision("P1", needs_retrieval=True, queries=(question.text,))
+            self.replies[question.text, "BEGIN SEARCH", False] = wrap(serialize_search((lookup,)))
+        self.garbled, self.failing, self.hopeless = set(garbled), set(failing), set(hopeless)
         self.calls = []
         self.billed = TokenUsage()
         self._lock = threading.Lock()
@@ -451,7 +475,8 @@ class PureBackend:
             self.calls.append(request)
         if key[:2] in self.failing:
             raise BackendError("backend down")
-        if key[:2] in self.garbled and "could not be parsed" not in request.user_text:
+        retry = "could not be parsed" in request.user_text
+        if key[:2] in self.hopeless or (key[:2] in self.garbled and not retry):
             text = "no block at all"
         else:
             text = self.replies[key]
@@ -489,6 +514,18 @@ def sweep(backend, out_dir, presets=None, parallelism=1, questions=SWEEP_QUESTIO
     )
 
 
+def untimed_trace(result):
+    """A result's trace without timing or which steps were replayed: steps
+    lose ``wall_ms``, ``start_ms`` and ``cached``, and billed and replayed
+    usage are summed."""
+    trace = json.loads(Path(result.trace_path).read_text(encoding="utf-8"))
+    for step in trace["steps"]:
+        del step["wall_ms"], step["start_ms"], step["cached"]
+    billed, cached = trace.pop("total_usage"), trace.pop("cached_usage")
+    trace["usage"] = {key: billed[key] + cached[key] for key in billed}
+    return trace
+
+
 def outcomes(rows):
     """What a sweep found, whichever of its calls were billed or replayed."""
     return [
@@ -518,6 +555,9 @@ def test_a_shared_sweep_gives_the_results_of_one_backend_per_preset(tmp_path, pa
         sys.setswitchinterval(interval)
 
     assert outcomes(shared) == outcomes(separate)
+    for (name, report), (_, alone_report) in zip(shared, separate):
+        for result, alone_result in zip(report.results, alone_report.results):
+            assert untimed_trace(result) == untimed_trace(alone_result), (name, result.question_id)
     assert all(r.cached_usage == TokenUsage() for _, report in separate for r in report.results)
     failed = [r for _, report in shared for r in report.errored]
     assert [r.question_id for r in failed] == ["q02"] * 3  # the presets that read
@@ -556,6 +596,68 @@ def test_a_shared_sweep_gives_the_results_of_one_backend_per_preset(tmp_path, pa
                 alone_totals[f"total_{kind}_tokens"]
             ), name
         assert totals["mean_completion_tokens"] == alone_totals["mean_completion_tokens"]
+
+
+def test_a_stage_that_used_up_its_retries_replays_its_failure_without_a_call(tmp_path):
+    question = SWEEP_QUESTIONS[0]
+    backend = PureBackend([question], SWEEP_ANSWERS, hopeless={(question.text, "BEGIN PLAN")})
+    presets = [
+        (name, preset(name))
+        for name in (
+            "System 2 (Planning + Search + Decision)",
+            "System 2 (Planning + Search + Reading + Decision)",
+        )
+    ]
+    rows = sweep(backend, tmp_path / "sweep", presets, questions=[question])
+    attempts = PipelineConfig().max_parse_retries + 1
+    assert len(backend.calls) == attempts
+    (first,), (second,) = (report.results for _, report in rows)
+    assert first.error.startswith("[planning] ")
+    assert second.error == first.error
+    assert (second.usage, second.cached_usage) == (TokenUsage(), first.usage)
+    steps = json.loads(Path(second.trace_path).read_text(encoding="utf-8"))["steps"]
+    assert [(s["agent"], s["attempt"], s["cached"], s["parsed"]) for s in steps] == [
+        ("planning", attempt, True, None) for attempt in range(1, attempts + 1)
+    ]
+
+
+class CountingRetriever:
+    def __init__(self, inner):
+        self.inner, self.searches = inner, []
+
+    def search(self, query, k):
+        self.searches.append((query, k))
+        return self.inner.search(query, k)
+
+
+def test_a_shared_sweep_parses_each_reply_once_and_searches_as_one_preset(
+    tmp_path, monkeypatch
+):
+    parses = []
+
+    def counted(parse):
+        def wrapper(*args, **kwargs):
+            parses.append(parse.__name__)
+            return parse(*args, **kwargs)
+
+        return wrapper
+
+    for name in dir(engine_module):
+        if name.startswith("parse_"):
+            monkeypatch.setattr(engine_module, name, counted(getattr(engine_module, name)))
+    alone = CountingRetriever(SWEEP_RETRIEVER)
+    full = [("System 2 (Full)", preset("System 2 (Full)"))]
+    ablation_sweep(SWEEP_QUESTIONS, pure_backend(), alone, full, out_dir=tmp_path / "alone")
+    parses.clear()
+    backend, retriever = pure_backend(), CountingRetriever(SWEEP_RETRIEVER)
+    rows = ablation_sweep(SWEEP_QUESTIONS, backend, retriever, out_dir=tmp_path / "shared")
+    assert sum(Agent.SEARCH in preset(name).stages for name, _ in rows) == 6
+    assert len(alone.searches) == len(SWEEP_QUESTIONS)
+    assert retriever.searches == alone.searches
+    assert any(SWEEP_RETRIEVER.search(query, k) for query, k in alone.searches)
+    raised = sum(backend.fails(request) for request in backend.calls)
+    assert raised == 3  # a failed call is not stored: each preset that reads sends it
+    assert len(parses) == len(backend.calls) - raised
 
 
 NO_SHARE_PRESETS = [
