@@ -16,7 +16,7 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Protocol, Sequence
+from typing import Any, Callable, Iterable, Protocol, Sequence
 
 import requests
 
@@ -95,9 +95,10 @@ class HttpChatBackend:
 
     Retries transport errors, 429, and 5xx responses per the retry policy;
     other 4xx responses fail immediately. The API key is read from an
-    environment variable, never from config files. Each thread posts through
-    its own ``requests.Session``, which requests does not document as
-    thread-safe; an injected ``session`` is used as given, by every thread.
+    environment variable, never from config files, and sent as ``auth``, so
+    requests reads ``~/.netrc`` only when no key is set. Each thread posts
+    through its own ``requests.Session``, which requests does not document
+    as thread-safe; an injected ``session`` is used as given, by every thread.
     """
 
     def __init__(
@@ -132,12 +133,15 @@ class HttpChatBackend:
             self._local.session = requests.Session()
         return self._local.session
 
-    def _headers(self) -> dict[str, str]:
-        headers = {"Content-Type": "application/json"}
+    def _auth(self) -> Callable[[requests.PreparedRequest], requests.PreparedRequest] | None:
+        """Sets the API key as a Bearer header; None when no key is set."""
         key = os.environ.get(self.api_key_env, "")
-        if key:
-            headers["Authorization"] = f"Bearer {key}"
-        return headers
+
+        def bearer(prepared: requests.PreparedRequest) -> requests.PreparedRequest:
+            prepared.headers["Authorization"] = f"Bearer {key}"
+            return prepared
+
+        return bearer if key else None
 
     def complete(self, request: ChatRequest) -> Completion:
         payload: dict[str, Any] = {
@@ -155,7 +159,7 @@ class HttpChatBackend:
         for attempt in range(1, self.retry.max_attempts + 1):
             try:
                 response = self._thread_session().post(
-                    url, json=payload, headers=self._headers(), timeout=self.timeout
+                    url, json=payload, auth=self._auth(), timeout=self.timeout
                 )
             except requests.Timeout as exc:
                 last_error = BackendTimeout(f"request timed out after {self.timeout}s")

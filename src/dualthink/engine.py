@@ -11,13 +11,13 @@ how to fill the agent's prompt from the outputs so far, how to parse the
 reply, and where the parsed outputs go. One call loop drives every row.
 
 Deliberation walks the enabled stages in canonical order. Hypothesis reads
-only the question, so it runs on a thread of its own alongside planning,
-search and reading, and the walk joins it when it gets there; a backend
-whose replies depend on call order (``ordered``) gets every call in turn
-instead. The trace lists steps in canonical order whichever call finished
-first, and each step's ``start_ms`` shows the overlap. The hypothesis call
-is joined before ``answer`` returns or raises; when both branches fail,
-the error of the stage first in canonical order is raised.
+only the question: a memo hit (below) is replayed at once, before the walk,
+and a hypothesis that must call the backend runs on a thread of its own
+beside planning, search and reading; a backend whose replies depend on call
+order (``ordered``) gets every call in turn instead. Steps stay in canonical
+order, each ``start_ms`` showing the overlap. The thread is joined before
+``answer`` returns or raises. When both branches fail, a replayed failure
+too, the error of the stage first in canonical order is raised.
 
 Every backend call is recorded on the trace, including failed parse
 attempts; a stage that needed a retry therefore shows up once per attempt.
@@ -35,7 +35,8 @@ from __future__ import annotations
 
 import logging
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable
 
@@ -342,16 +343,13 @@ class Engine:
         steps: dict[Agent, list[AgentStep]] = {agent: [] for agent in sequence}
         early = Agent.HYPOTHESIS in sequence[1:] and not getattr(self._backend, "ordered", False)
         try:
-            # Leaving the block joins hypothesis; an error of the walk before
-            # hypothesis outranks hypothesis's own, which is then never read.
-            with ThreadPoolExecutor(max_workers=1) as pool:
-                hypothesis = None
+            # Leaving the block joins a hypothesis thread, if one was started. An error
+            # of the walk before hypothesis outranks hypothesis's own, replayed or not.
+            with ExitStack() as threads:
                 if early:
-                    hypothesis = pool.submit(
-                        self._stage, Agent.HYPOTHESIS, run, steps[Agent.HYPOTHESIS]
-                    )
+                    hypothesis = self._start_hypothesis(run, steps[Agent.HYPOTHESIS], threads)
                 for agent in sequence:
-                    if hypothesis is not None and agent is Agent.HYPOTHESIS:
+                    if early and agent is Agent.HYPOTHESIS:
                         hypothesis.result()
                     else:
                         self._stage(agent, run, steps[agent])
@@ -375,16 +373,34 @@ class Engine:
             )
         return run.reflection.decision is Verdict.ACCEPT
 
-    def _stage(self, agent: Agent, run: _Run, steps: list[AgentStep]) -> None:
-        """Runs one row of the stage table, or replays it from the memo, then
-        sets its outputs on ``run`` or raises its parse failure."""
+    def _start_hypothesis(self, run: _Run, steps: list[AgentStep], threads: ExitStack) -> Future:
+        """Replays a memoized hypothesis now or starts it on a thread of its own;
+        the walk joins the future in hypothesis's place, raising a replay's parse failure."""
+        _, key = keyed = self._keyed(Agent.HYPOTHESIS, run)
+        if key is None or key not in self._memo:
+            pool = threads.enter_context(ThreadPoolExecutor(max_workers=1))
+            return pool.submit(self._stage, Agent.HYPOTHESIS, run, steps, keyed)
+        replayed = Future()
+        try:
+            replayed.set_result(self._stage(Agent.HYPOTHESIS, run, steps, keyed))
+        except ParseError as exc:
+            replayed.set_exception(exc)
+        return replayed
+
+    def _keyed(self, agent: Agent, run: _Run) -> tuple[ChatRequest, tuple | None]:
+        """Renders a stage's first request; its key is None if it may not be memoized."""
         config = run.config
         system_text, user_text = self._prompts.get(agent).render(**_STAGES[agent].values(run))
         request = ChatRequest(system_text, user_text, config.temperature, config.max_tokens)
         key = (agent, request, config.max_parse_retries, config.max_hypotheses, config.k_retrieval)
-        memo = self._memo if config.temperature == 0 else None
-        if memo is not None and key in memo:
-            stored, outcome = memo[key]
+        return request, (key if self._memo is not None and config.temperature == 0 else None)
+
+    def _stage(self, agent: Agent, run: _Run, steps: list, keyed: tuple | None = None) -> None:
+        """Runs one row of the stage table, or replays it from the memo (``keyed`` is its
+        :meth:`_keyed`, if built), then sets its outputs or raises its parse failure."""
+        request, key = keyed or self._keyed(agent, run)
+        if key is not None and key in self._memo:
+            stored, outcome = self._memo[key]
             start_ms = int((time.monotonic() - run.started) * 1000)
             steps.extend(replace(s, wall_ms=0, start_ms=start_ms, cached=True) for s in stored)
         else:
@@ -392,8 +408,8 @@ class Engine:
             outcome = self._call(agent, run, request, steps)
             if agent is Agent.SEARCH and not isinstance(outcome, str):
                 outcome["docs_by_subquestion"] = self._retrieve(run, outcome["decisions"])
-            if memo is not None:
-                memo[key] = (tuple(steps[first:]), outcome)
+            if key is not None:
+                self._memo[key] = (tuple(steps[first:]), outcome)
         if isinstance(outcome, str):
             raise ParseError(outcome, agent.value)
         for name, value in outcome.items():

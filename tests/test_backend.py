@@ -228,6 +228,21 @@ def test_http_happy_path_reports_server_usage(http_stub, monkeypatch):
     assert call["body"]["messages"][0] == {"role": "system", "content": "sys"}
 
 
+def test_http_sends_the_api_key_even_when_netrc_has_the_host(http_stub, monkeypatch, tmp_path):
+    base, script = http_stub
+    netrc = tmp_path / "netrc"
+    netrc.write_text("machine 127.0.0.1 login user password secret\n", encoding="utf-8")
+    netrc.chmod(0o600)
+    monkeypatch.setenv("NETRC", str(netrc))
+    monkeypatch.setenv("TEST_KEY_ENV", "sk-test")
+    script.responses += [(200, _ok_payload("hello"))] * 2
+    backend = HttpChatBackend(endpoint=base, model="m1", api_key_env="TEST_KEY_ENV")
+    backend.complete(ChatRequest(system_text="sys", user_text="user"))
+    monkeypatch.delenv("TEST_KEY_ENV")
+    backend.complete(ChatRequest(system_text="sys", user_text="user"))
+    assert [call["auth"] for call in script.seen] == ["Bearer sk-test", "Basic dXNlcjpzZWNyZXQ="]
+
+
 def test_http_estimates_usage_when_server_omits_it(http_stub):
     base, script = http_stub
     script.responses.append((200, _ok_payload("four")))

@@ -621,6 +621,82 @@ def test_a_stage_that_used_up_its_retries_replays_its_failure_without_a_call(tmp
     ]
 
 
+@pytest.mark.parametrize("case", ["shared", "per-preset", "ordered"])
+def test_a_replayed_hypothesis_starts_no_thread(tmp_path, monkeypatch, case):
+    pools, submitted = [], []
+
+    class CountingPool(engine_module.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+        def submit(self, fn, agent, run, *args):
+            submitted.append((agent, run.question.id, run.config))
+            return super().submit(fn, agent, run, *args)
+
+    monkeypatch.setattr(engine_module, "ThreadPoolExecutor", CountingPool)
+    backend = pure_backend()
+    if case == "per-preset":
+        backend = lambda name: pure_backend()  # noqa: E731
+    elif case == "ordered":
+        backend.ordered = True
+    rows = sweep(backend, tmp_path / "sweep")
+    assert len(rows) == 8 and all(len(report.results) == 4 for _, report in rows)
+    early = {  # the presets whose hypothesis is sent on a thread
+        "shared": ["System 2 (Full)"],  # each later one replays it
+        "per-preset": [
+            "System 2 (Full)",
+            "System 2 (Planning + Search + Hypothesis + Integration + Decision)",
+            "System 2 (Planning + Search + Reading + Hypothesis + Decision)",
+            "System 2 (Planning + Search + Hypothesis + Decision)",
+        ],
+        "ordered": [],
+    }[case]
+    assert submitted == [
+        (Agent.HYPOTHESIS, q.id, preset(name)) for q in SWEEP_QUESTIONS for name in early
+    ]
+    assert len(pools) == len(submitted)
+
+
+@pytest.mark.parametrize("reading_fails", [False, True])
+def test_a_replayed_hypothesis_failure_keeps_its_rank(tmp_path, reading_fails):
+    question = SWEEP_QUESTIONS[0]
+    failing = {(question.text, "BEGIN READING")} if reading_fails else set()
+
+    def backend(name=None):
+        hopeless = {(question.text, "BEGIN HYPOTHESES")}
+        return PureBackend([question], SWEEP_ANSWERS, failing=failing, hopeless=hopeless)
+
+    presets = [
+        (name, preset(name))
+        for name in (
+            "System 2 (Full)",
+            "System 2 (Planning + Search + Reading + Hypothesis + Decision)",
+            "System 2 (Planning + Search + Hypothesis + Decision)",
+        )
+    ]
+    shared_backend = backend()
+    shared = sweep(shared_backend, tmp_path / "shared", presets, questions=[question])
+    separate = sweep(backend, tmp_path / "separate", presets, questions=[question])
+    hypothesis_calls = [r for r in shared_backend.calls if "BEGIN HYPOTHESES" in r.user_text]
+    assert len(hypothesis_calls) == PipelineConfig().max_parse_retries + 1
+
+    # Reading, where enabled, comes first: its error outranks hypothesis's.
+    *reading, without_reading = [report.results[0].error for _, report in shared]
+    assert without_reading.startswith("[hypothesis] ")
+    expected = "[reading] backend down" if reading_fails else without_reading
+    assert reading == [expected, expected]
+    later = json.loads(Path(shared[1][1].results[0].trace_path).read_text(encoding="utf-8"))
+    agents = ["planning", "search"] + ([] if reading_fails else ["reading"])
+    attempts = [("hypothesis", True)] * len(hypothesis_calls)
+    assert [(s["agent"], s["cached"]) for s in later["steps"]] == [
+        (agent, True) for agent in agents
+    ] + attempts
+    for (name, report), (_, alone) in zip(shared, separate):
+        assert report.results[0].error == alone.results[0].error, name
+        assert untimed_trace(report.results[0]) == untimed_trace(alone.results[0]), name
+
+
 class CountingRetriever:
     def __init__(self, inner):
         self.inner, self.searches = inner, []
