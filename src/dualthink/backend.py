@@ -95,10 +95,12 @@ class HttpChatBackend:
 
     Retries transport errors, 429, and 5xx responses per the retry policy;
     other 4xx responses fail immediately. The API key is read from an
-    environment variable, never from config files, and sent as ``auth``, so
-    requests reads ``~/.netrc`` only when no key is set. Each thread posts
+    environment variable, never from config files, and sent as ``auth``; a
+    ``~/.netrc`` entry applies only when no key is set. Each thread posts
     through its own ``requests.Session``, which requests does not document
-    as thread-safe; an injected ``session`` is used as given, by every thread.
+    as thread-safe, with ``trust_env`` off: proxies, the CA bundle and netrc
+    are read from the environment once, here. An injected ``session`` is
+    used as given, by every thread.
     """
 
     def __init__(
@@ -125,23 +127,34 @@ class HttpChatBackend:
         self._session = session
         self._local = threading.local()
         self._sleep = sleep
+        self._url = f"{self.endpoint}/chat/completions"
+        # Proxies, verify and cert for each post, and the auth of a post with no
+        # key; an injected session reads them itself.
+        self._settings: dict[str, Any] = {}
+        self._netrc: tuple[str, str] | None = None
+        if session is None:
+            with requests.Session() as probe:
+                self._settings = probe.merge_environment_settings(self._url, {}, None, None, None)
+            self._netrc = requests.utils.get_netrc_auth(self._url)
 
     def _thread_session(self) -> requests.Session:
         if self._session is not None:
             return self._session
         if not hasattr(self._local, "session"):
             self._local.session = requests.Session()
+            self._local.session.trust_env = False
         return self._local.session
 
     def _auth(self) -> Callable[[requests.PreparedRequest], requests.PreparedRequest] | None:
-        """Sets the API key as a Bearer header; None when no key is set."""
+        """Sets the API key as a Bearer header; the netrc entry, or None, when
+        no key is set."""
         key = os.environ.get(self.api_key_env, "")
 
         def bearer(prepared: requests.PreparedRequest) -> requests.PreparedRequest:
             prepared.headers["Authorization"] = f"Bearer {key}"
             return prepared
 
-        return bearer if key else None
+        return bearer if key else self._netrc
 
     def complete(self, request: ChatRequest) -> Completion:
         payload: dict[str, Any] = {
@@ -153,13 +166,12 @@ class HttpChatBackend:
             "temperature": request.temperature,
             "max_tokens": request.max_tokens,
         }
-        url = f"{self.endpoint}/chat/completions"
-
         last_error: Exception | None = None
         for attempt in range(1, self.retry.max_attempts + 1):
             try:
                 response = self._thread_session().post(
-                    url, json=payload, auth=self._auth(), timeout=self.timeout
+                    self._url, json=payload, auth=self._auth(), timeout=self.timeout,
+                    **self._settings,
                 )
             except requests.Timeout as exc:
                 last_error = BackendTimeout(f"request timed out after {self.timeout}s")

@@ -180,7 +180,6 @@ class Report:
             "total_cached_completion_tokens": self.total_cached_usage.completion_tokens,
             "mean_completion_tokens": round(self.mean_completion_tokens, 2),
             "usage_estimated": any(r.usage_estimated for r in self.results),
-            "results": [r.to_dict() for r in self.results],
         }
 
 

@@ -243,6 +243,30 @@ def test_http_sends_the_api_key_even_when_netrc_has_the_host(http_stub, monkeypa
     assert [call["auth"] for call in script.seen] == ["Bearer sk-test", "Basic dXNlcjpzZWNyZXQ="]
 
 
+def test_http_proxy_from_the_environment_is_read_once_and_no_proxy_bypasses_it(
+    http_stub, monkeypatch
+):
+    # The stub serves as the proxy too: through a proxy, the request line
+    # names the whole URL; sent directly, only its path.
+    base, script = http_stub
+    for name in ("http_proxy", "https_proxy", "all_proxy", "no_proxy"):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+    monkeypatch.setenv("HTTP_PROXY", base)
+    script.responses += [(200, _ok_payload("hello"))] * 3
+    proxied = HttpChatBackend(endpoint=base, model="m1")
+    monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+    direct = HttpChatBackend(endpoint=base, model="m1")
+    # Read when the backend was built, not on each post.
+    monkeypatch.delenv("HTTP_PROXY")
+    monkeypatch.delenv("NO_PROXY")
+    for backend in (proxied, proxied, direct):
+        backend.complete(ChatRequest(system_text="sys", user_text="user"))
+    assert [call["path"] for call in script.seen] == [
+        f"{base}/chat/completions", f"{base}/chat/completions", "/chat/completions"
+    ]
+
+
 def test_http_estimates_usage_when_server_omits_it(http_stub):
     base, script = http_stub
     script.responses.append((200, _ok_payload("four")))
@@ -350,9 +374,10 @@ class _StubResponse:
 
 
 def test_http_posts_through_one_session_per_thread(monkeypatch):
+    # Built first: it reads the environment through a real session of its own.
+    backend = HttpChatBackend(endpoint="http://unused", model="m1")
     monkeypatch.setattr(_RecordingSession, "made", [])
     monkeypatch.setattr("dualthink.backend.requests.Session", _RecordingSession)
-    backend = HttpChatBackend(endpoint="http://unused", model="m1")
     request = ChatRequest(system_text="s", user_text="u")
 
     def two_calls():

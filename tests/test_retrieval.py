@@ -1,4 +1,6 @@
 import base64
+import heapq
+import itertools
 import json
 import math
 import random
@@ -63,8 +65,8 @@ def test_ties_break_by_ascending_doc_id():
 
 def test_ties_break_by_doc_id_when_the_tied_docs_are_seen_at_different_steps():
     # With k1 = 0 each term adds its whole bound, idf * tf / tf, to a document,
-    # so "a" alone and "b" alone tie. "a" comes first (equal idf keeps query
-    # order) and "d1" is seen before "d0" is; d0 must still win the tie.
+    # so "a" alone and "b" alone tie. "a" comes first (an equal bound keeps
+    # query order) and "d1" is seen before "d0" is; d0 must still win the tie.
     for fillers in range(1, 40):
         docs = [Doc("d1", "a a a"), Doc("d0", "b b b")]
         docs += [Doc(f"f{i}", "c c c") for i in range(fillers)]
@@ -76,9 +78,9 @@ def test_ties_break_by_doc_id_when_the_tied_docs_are_seen_at_different_steps():
 
 def test_ties_break_by_doc_id_when_rarest_first_sums_differ():
     # With b = 0 and "a", "b" equally common, "a b b b c" and "a a a b c" tie
-    # in query order (p + q + r == q + p + r). Rarest first, "c" comes first,
-    # and r + p + q may differ from r + q + p in the last bit; d0 must still
-    # win the tie whichever of the two it is.
+    # in query order (p + q + r == q + p + r). Taken by bound, the terms are
+    # added in another order, whose sums may differ in the last bit; d0 must
+    # still win the tie whichever of the two it is.
     for fillers in range(20):
         for first, second in (("a b b b c", "a a a b c"), ("a a a b c", "a b b b c")):
             docs = [Doc("d0", first), Doc("d1", second)]
@@ -311,11 +313,48 @@ def test_save_that_fails_partway_keeps_the_old_snapshot(tmp_path):
 def _zipf_docs(seed, n_docs, vocabulary):
     rng = random.Random(seed)
     words = [f"w{i}" for i in range(vocabulary)]
-    weights = [1 / (rank + 1) for rank in range(vocabulary)]
+    cum_weights = list(itertools.accumulate(1 / (rank + 1) for rank in range(vocabulary)))
     return [
-        Doc(f"d{i}", " ".join(rng.choices(words, weights, k=rng.randint(10, 60))))
+        Doc(f"d{i}", " ".join(rng.choices(words, cum_weights=cum_weights, k=rng.randint(10, 60))))
         for i in range(n_docs)
     ]
+
+
+def test_pruned_search_matches_a_full_scan_on_a_zipf_corpus():
+    # Thousands of documents, so that most postings of a query are pruned: the
+    # search must still return exactly the full scan's top k, and each term's
+    # bound must be exactly the largest gain it adds to any document.
+    docs = _zipf_docs(16, 2000, 3000)
+    index = BM25Index.build(docs)
+    bags = [Counter(d.text.split()) for d in docs]
+    lengths = [sum(bag.values()) for bag in bags]
+    avgdl, n, k1, b = sum(lengths) / len(lengths), len(docs), 1.2, 0.75
+    holders = {}
+    for i, bag in enumerate(bags):
+        for term, tf in bag.items():
+            holders.setdefault(term, []).append((i, tf))
+    gains = {}
+    for term, pairs in holders.items():
+        idf = math.log((n - len(pairs) + 0.5) / (len(pairs) + 0.5) + 1)
+        gains[term] = [
+            (i, idf * tf * (k1 + 1) / (tf + k1 * (1 - b + b * lengths[i] / avgdl)))
+            for i, tf in pairs
+        ]
+    rng = random.Random(16)
+    words = [f"w{i}" for i in range(3000)]
+    cum_weights = list(itertools.accumulate(1 / (rank + 1) for rank in range(3000)))
+    for _ in range(300):
+        query = " ".join(rng.choices(words, cum_weights=cum_weights, k=rng.randint(1, 6)))
+        scores = {}
+        for term in dict.fromkeys(query.split()):
+            for i, gain in gains.get(term, ()):
+                scores[i] = scores.get(i, 0.0) + gain
+        ranked = heapq.nsmallest(10, ((-s, docs[i].doc_id) for i, s in scores.items()))
+        for k in (1, 5, 10):
+            hits = [(h.doc_id, h.score) for h in index.search(query, k)]
+            assert hits == [(doc_id, -neg) for neg, doc_id in ranked[:k]], (query, k)
+    for term, term_gains in gains.items():
+        assert index._bound(term) == max(gain for _, gain in term_gains), term
 
 
 def test_postings_are_ascending_doc_indices_whose_length_is_the_df(tmp_path):

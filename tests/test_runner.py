@@ -239,6 +239,12 @@ def test_out_dir_layout_and_sorting(tmp_path):
     on_disk = json.loads((out / "report.json").read_text(encoding="utf-8"))
     assert on_disk["name"] == "layout"
     assert on_disk["accuracy_pct"] == 100.0
+    # report.json holds the totals only; results.jsonl and report.csv hold
+    # every result.
+    assert "results" not in on_disk
+    assert on_disk["questions"] == 3 and on_disk["errored"] == 0
+    assert on_disk["total_prompt_tokens"] == report.total_usage.prompt_tokens > 0
+    assert on_disk["total_completion_tokens"] == report.total_usage.completion_tokens > 0
     with (out / "report.csv").open(encoding="utf-8", newline="") as handle:
         rows = list(csv.reader(handle))
     assert rows[0][0] == "question_id"
