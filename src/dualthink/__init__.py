@@ -1,144 +1,1 @@
 """Two-speed question answering with an ablatable deliberation pipeline."""
-
-from .backend import (
-    ChatRequest,
-    Completion,
-    HttpChatBackend,
-    LLMBackend,
-    RetryPolicy,
-    ScriptedBackend,
-    ScriptEntry,
-    estimate_tokens,
-    scripted_backend,
-)
-from .dataset import DatasetSpec, load_dataset
-from .engine import AnswerResult, Engine, answer
-from .errors import (
-    BackendError,
-    BackendExhausted,
-    BackendHTTPError,
-    BackendTimeout,
-    ConfigError,
-    DualThinkError,
-    FormatError,
-    IngestError,
-    ParseError,
-    TemplateError,
-)
-from .metrics import exact_match, f1, normalize_answer
-from .presets import DUAL_PRESET_NAME, ablation_presets, preset, preset_names
-from .prompts import PromptLibrary, PromptTemplate, quote_injected
-from .retrieval import BM25Index, Doc, Retriever, build_index_from_corpus, load_corpus, tokenize
-from .runner import (
-    QuestionResult,
-    Report,
-    StratumRow,
-    ablation_sweep,
-    accuracy_vs_tokens,
-    run_benchmark,
-    score_result,
-    stratified_trigger_report,
-)
-from .types import (
-    SYSTEM2_STAGES,
-    Agent,
-    AgentStep,
-    Decision,
-    Difficulty,
-    Hypothesis,
-    HypothesisStatus,
-    HypothesisVerdict,
-    IntegratedHypothesis,
-    KeyInsight,
-    PipelineConfig,
-    Plan,
-    PlanItem,
-    Question,
-    QuestionKind,
-    QuickAnswer,
-    ReasoningTrace,
-    ReflectionVerdict,
-    RetrievedDoc,
-    SearchDecision,
-    SubStep,
-    TokenUsage,
-    Verdict,
-    stage_sequence,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "Agent",
-    "AgentStep",
-    "AnswerResult",
-    "BM25Index",
-    "BackendError",
-    "BackendExhausted",
-    "BackendHTTPError",
-    "BackendTimeout",
-    "ChatRequest",
-    "Completion",
-    "ConfigError",
-    "DUAL_PRESET_NAME",
-    "DatasetSpec",
-    "Decision",
-    "Difficulty",
-    "Doc",
-    "DualThinkError",
-    "Engine",
-    "FormatError",
-    "Hypothesis",
-    "HypothesisStatus",
-    "HypothesisVerdict",
-    "HttpChatBackend",
-    "IngestError",
-    "IntegratedHypothesis",
-    "KeyInsight",
-    "LLMBackend",
-    "ParseError",
-    "PipelineConfig",
-    "Plan",
-    "PlanItem",
-    "PromptLibrary",
-    "PromptTemplate",
-    "Question",
-    "QuestionKind",
-    "QuestionResult",
-    "QuickAnswer",
-    "ReasoningTrace",
-    "ReflectionVerdict",
-    "Report",
-    "RetrievedDoc",
-    "Retriever",
-    "RetryPolicy",
-    "SYSTEM2_STAGES",
-    "ScriptEntry",
-    "ScriptedBackend",
-    "SearchDecision",
-    "StratumRow",
-    "SubStep",
-    "TemplateError",
-    "TokenUsage",
-    "Verdict",
-    "ablation_presets",
-    "ablation_sweep",
-    "accuracy_vs_tokens",
-    "answer",
-    "build_index_from_corpus",
-    "estimate_tokens",
-    "exact_match",
-    "f1",
-    "load_corpus",
-    "load_dataset",
-    "normalize_answer",
-    "preset",
-    "preset_names",
-    "quote_injected",
-    "run_benchmark",
-    "score_result",
-    "scripted_backend",
-    "stage_sequence",
-    "stratified_trigger_report",
-    "tokenize",
-]

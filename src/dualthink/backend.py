@@ -96,11 +96,14 @@ class HttpChatBackend:
     Retries transport errors, 429, and 5xx responses per the retry policy;
     other 4xx responses fail immediately. The API key is read from an
     environment variable, never from config files, and sent as ``auth``; a
-    ``~/.netrc`` entry applies only when no key is set. Each thread posts
-    through its own ``requests.Session``, which requests does not document
-    as thread-safe, with ``trust_env`` off: proxies, the CA bundle and netrc
-    are read from the environment once, here. An injected ``session`` is
-    used as given, by every thread.
+    ``~/.netrc`` entry applies only when no key is set. A call takes one of
+    the backend's idle ``requests.Session`` objects, or builds one, and puts
+    it back once it has a reply (a call that fails drops it): requests does
+    not document a session as thread-safe, so no two calls use one at once,
+    yet its connections outlive the thread that made the call. Its sessions
+    have ``trust_env`` off: proxies, the CA bundle and netrc are read from
+    the environment once, here. An injected ``session`` is used as given, by
+    every call.
     """
 
     def __init__(
@@ -125,7 +128,7 @@ class HttpChatBackend:
         self.timeout = timeout
         self.retry = retry
         self._session = session
-        self._local = threading.local()
+        self._idle: list[requests.Session] = []
         self._sleep = sleep
         self._url = f"{self.endpoint}/chat/completions"
         # Proxies, verify and cert for each post, and the auth of a post with no
@@ -137,13 +140,15 @@ class HttpChatBackend:
                 self._settings = probe.merge_environment_settings(self._url, {}, None, None, None)
             self._netrc = requests.utils.get_netrc_auth(self._url)
 
-    def _thread_session(self) -> requests.Session:
+    def _take_session(self) -> requests.Session:
         if self._session is not None:
             return self._session
-        if not hasattr(self._local, "session"):
-            self._local.session = requests.Session()
-            self._local.session.trust_env = False
-        return self._local.session
+        try:
+            return self._idle.pop()
+        except IndexError:
+            session = requests.Session()
+            session.trust_env = False
+            return session
 
     def _auth(self) -> Callable[[requests.PreparedRequest], requests.PreparedRequest] | None:
         """Sets the API key as a Bearer header; the netrc entry, or None, when
@@ -166,10 +171,11 @@ class HttpChatBackend:
             "temperature": request.temperature,
             "max_tokens": request.max_tokens,
         }
+        session = self._take_session()
         last_error: Exception | None = None
         for attempt in range(1, self.retry.max_attempts + 1):
             try:
-                response = self._thread_session().post(
+                response = session.post(
                     self._url, json=payload, auth=self._auth(), timeout=self.timeout,
                     **self._settings,
                 )
@@ -193,6 +199,8 @@ class HttpChatBackend:
                 elif response.status_code >= 400:
                     raise BackendHTTPError(response.status_code, _body_snippet(response))
                 else:
+                    if session is not self._session:
+                        self._idle.append(session)
                     return self._parse_response(request, response)
             if attempt < self.retry.max_attempts:
                 self._sleep(self.retry.delay(attempt))

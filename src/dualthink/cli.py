@@ -28,7 +28,7 @@ from .engine import Engine
 from .errors import BackendError, ConfigError, DualThinkError, ParseError
 from .presets import DUAL_PRESET_NAME, ablation_presets, preset, preset_names
 from .prompts import PromptLibrary
-from .retrieval import BM25Index, build_index_from_corpus
+from .retrieval import BM25Index, load_corpus
 from .runner import (
     ablation_sweep,
     accuracy_vs_tokens,
@@ -242,7 +242,7 @@ def _retriever(settings: Settings) -> BM25Index | None:
                 "k1 and b are set when it is built, by `index build`"
             )
         return BM25Index.load(index)
-    return build_index_from_corpus(corpus, **options) if corpus else None
+    return BM25Index.build(load_corpus(corpus), **options) if corpus else None
 
 
 def _prompts(settings: Settings) -> PromptLibrary | None:
@@ -358,7 +358,7 @@ def _cmd_ablate(args: argparse.Namespace, settings: Settings) -> int:
 
 
 def _cmd_index_build(args: argparse.Namespace, settings: Settings) -> int:
-    index = build_index_from_corpus(args.corpus, **settings["retrieval"])
+    index = BM25Index.build(load_corpus(args.corpus), **settings["retrieval"])
     index.save(args.out)
     print(f"indexed {len(index.docs)} documents -> {args.out}")
     return 0

@@ -557,14 +557,3 @@ def _hypothesis_line(hyp: Hypothesis) -> str:
     if hyp.option_label is not None:
         return f"{hyp.id} (option {hyp.option_label}): {hyp.statement}"
     return f"{hyp.id}: {hyp.statement}"
-
-
-def answer(
-    question: Question,
-    backend: LLMBackend,
-    config: PipelineConfig | None = None,
-    retriever: Retriever | None = None,
-    prompts: PromptLibrary | None = None,
-) -> AnswerResult:
-    """One-shot convenience wrapper around :class:`Engine`."""
-    return Engine(backend, retriever=retriever, prompts=prompts).answer(question, config)

@@ -339,9 +339,3 @@ def _decode(text: str) -> array:
     if sys.byteorder == "big":
         flat.byteswap()
     return flat
-
-
-def build_index_from_corpus(
-    corpus_path: str | Path, k1: float = 1.2, b: float = 0.75
-) -> BM25Index:
-    return BM25Index.build(load_corpus(corpus_path), k1=k1, b=b)

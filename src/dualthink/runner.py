@@ -18,6 +18,7 @@ were in flight.
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import logging
@@ -38,11 +39,11 @@ from .presets import ablation_presets
 from .prompts import PromptLibrary
 from .retrieval import Retriever
 from .types import (
-    DIFFICULTY_ORDER,
     Difficulty,
     PipelineConfig,
     Question,
     QuestionKind,
+    ReasoningTrace,
     TokenUsage,
     sum_usage,
     to_jsonable,
@@ -185,20 +186,16 @@ class Report:
 
 def score_result(
     question: Question,
-    predicted: str,
-    chosen_option: str | None,
-    system2_triggered: bool,
-    usage: TokenUsage,
-    trace_path: str | None = None,
-    usage_estimated: bool = False,
+    trace: ReasoningTrace,
     error: str | None = None,
-    cached_usage: TokenUsage = TokenUsage(),
+    trace_path: str | None = None,
 ) -> QuestionResult:
-    """Score one question against its gold. A question that errored has no
-    prediction and scores 0 wherever it can be scored."""
+    """Score one question's trace against its gold. A question that errored
+    has no prediction and scores 0 wherever it can be scored."""
     correct: bool | None = None
     em_score: float | None = None
     f1_score: float | None = None
+    predicted, chosen_option = trace.final_answer, trace.chosen_option
     if error is not None:
         predicted = chosen_option = None
     if question.kind is QuestionKind.MCQ:
@@ -219,13 +216,13 @@ def score_result(
         correct=correct,
         em=em_score,
         f1=f1_score,
-        system2_triggered=system2_triggered,
-        usage=usage,
+        system2_triggered=trace.system2_triggered,
+        usage=trace.total_usage,
         difficulty=question.difficulty,
         trace_path=trace_path,
         error=error,
-        usage_estimated=usage_estimated,
-        cached_usage=cached_usage,
+        usage_estimated=any(step.usage_estimated for step in trace.steps),
+        cached_usage=trace.cached_usage,
     )
 
 
@@ -297,11 +294,7 @@ def _answer_all(
             except (ParseError, BackendError) as exc:
                 logger.error("question %s failed: %s", question.id, exc)
                 trace, error = exc.trace, str(exc)
-            result = score_result(
-                question, trace.final_answer, trace.chosen_option, trace.system2_triggered,
-                trace.total_usage, cached_usage=trace.cached_usage, error=error,
-                trace_path=trace_path, usage_estimated=any(s.usage_estimated for s in trace.steps),
-            )
+            result = score_result(question, trace, error, trace_path)
             if trace_path is not None:
                 write_atomic(Path(trace_path), json.dumps(trace.to_dict()))
                 with lock, (run.path / "results.jsonl").open("a", encoding="utf-8") as handle:
@@ -330,12 +323,22 @@ def _repeated(keys: Iterable[str]) -> list[str]:
     return sorted(key for key, count in Counter(keys).items() if count > 1)
 
 
+#: Longest trace file name, so that ``write_atomic``'s ``<name>.tmp`` fits in 255 bytes.
+_MAX_NAME = 251
+
+
 def trace_file_name(question_id: str) -> str:
     """A file name inside ``traces/``, distinct for distinct ids: characters
     outside ``[A-Za-z0-9._-]`` and a leading ``.`` are percent-encoded, so no
-    id can name ``..`` or a path; any other id keeps its spelling."""
+    id can name ``..`` or a path; any other id keeps its spelling. A name
+    longer than ``_MAX_NAME`` bytes is cut and joined by ``+``, which
+    percent-encoding never emits, to a digest of the whole id."""
     name = urllib.parse.quote(question_id, safe="")
-    return ("%2E" + name[1:] if name.startswith(".") else name) + ".json"
+    name = ("%2E" + name[1:] if name.startswith(".") else name) + ".json"
+    if len(name) <= _MAX_NAME:
+        return name
+    digest = hashlib.sha256(question_id.encode("utf-8")).hexdigest()
+    return f"{name[:_MAX_NAME - len(digest) - len('+.json')]}+{digest}.json"
 
 
 def _load_results(path: Path) -> dict[str, QuestionResult]:
@@ -465,7 +468,7 @@ def stratified_trigger_report(results: Iterable[QuestionResult]) -> list[Stratum
         cell = counts.setdefault((result.difficulty, mode), [0, 0])
         cell[0 if result.correct else 1] += 1
     rows = []
-    for difficulty in DIFFICULTY_ORDER:
+    for difficulty in Difficulty:
         for mode in ("System 1", "System 2"):
             if (difficulty, mode) in counts:
                 correct, incorrect = counts[(difficulty, mode)]

@@ -70,10 +70,6 @@ class Difficulty(str, Enum):
         raise ValueError(f"unknown difficulty label: {label!r}")
 
 
-#: Strata order used by difficulty-stratified reports.
-DIFFICULTY_ORDER: tuple[Difficulty, ...] = tuple(Difficulty)
-
-
 @dataclass(frozen=True)
 class Question:
     """One task instance: prompt text, optional MCQ options, gold answer.
@@ -287,8 +283,6 @@ class PipelineConfig:
         for label, flag in needs_system2:
             if flag and not self.stages:
                 raise ConfigError(f"{label} needs a non-empty stage set to escalate to")
-        if not self.system1_enabled and not self.stages:
-            raise ConfigError("nothing to run: system 1 disabled and no stages enabled")
         positive = (
             ("k_retrieval", self.k_retrieval),
             ("max_subquestions", self.max_subquestions),

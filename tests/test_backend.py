@@ -1,5 +1,7 @@
 import json
+import sys
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
@@ -373,30 +375,73 @@ class _StubResponse:
         return _ok_payload("ok", {"prompt_tokens": 1, "completion_tokens": 1})
 
 
-def test_http_posts_through_one_session_per_thread(monkeypatch):
+def _recording_backend(monkeypatch, session_class=_RecordingSession):
     # Built first: it reads the environment through a real session of its own.
     backend = HttpChatBackend(endpoint="http://unused", model="m1")
     monkeypatch.setattr(_RecordingSession, "made", [])
-    monkeypatch.setattr("dualthink.backend.requests.Session", _RecordingSession)
-    request = ChatRequest(system_text="s", user_text="u")
+    monkeypatch.setattr("dualthink.backend.requests.Session", session_class)
+    return backend
 
-    def two_calls():
-        backend.complete(request)
-        backend.complete(request)
 
-    threads = [threading.Thread(target=two_calls) for _ in range(2)]
+def _on_threads(*calls):
+    threads = [threading.Thread(target=call) for call in calls]
     for thread in threads:
         thread.start()
     for thread in threads:
         thread.join(timeout=5)
         assert not thread.is_alive()
-    assert [session.posts for session in _RecordingSession.made] == [2, 2]
+
+
+def test_http_sessions_outlive_the_threads_that_used_them(monkeypatch):
+    backend = _recording_backend(monkeypatch)
+    request = ChatRequest(system_text="s", user_text="u")
+    for _ in range(3):
+        _on_threads(lambda: backend.complete(request))
+    assert [session.posts for session in _RecordingSession.made] == [3]
 
     injected = _RecordingSession()
     shared = HttpChatBackend(endpoint="http://unused", model="m1", session=injected)
-    worker = threading.Thread(target=shared.complete, args=(request,))
-    worker.start()
-    worker.join(timeout=5)
+    _on_threads(lambda: shared.complete(request))
     shared.complete(request)
     assert injected.posts == 2
-    assert len(_RecordingSession.made) == 3
+    assert len(_RecordingSession.made) == 2
+
+
+def test_http_calls_in_flight_at_once_never_share_a_session(monkeypatch):
+    arrived = threading.Barrier(2, timeout=5)
+
+    class HeldSession(_RecordingSession):
+        def post(self, url, **kwargs):
+            arrived.wait()  # both calls are in flight before either returns
+            return super().post(url, **kwargs)
+
+    backend = _recording_backend(monkeypatch, HeldSession)
+    request = ChatRequest(system_text="s", user_text="u")
+    _on_threads(*[lambda: backend.complete(request)] * 2)
+    assert [session.posts for session in _RecordingSession.made] == [1, 1]
+
+
+def test_http_sessions_are_never_shared_under_thread_churn(monkeypatch):
+    overlaps = []
+
+    class GuardedSession(_RecordingSession):
+        busy = False
+
+        def post(self, url, **kwargs):
+            overlaps.append(self.busy)
+            self.busy = True
+            time.sleep(0)  # let another thread run while this one holds the session
+            self.busy = False
+            return super().post(url, **kwargs)
+
+    backend = _recording_backend(monkeypatch, GuardedSession)
+    request = ChatRequest(system_text="s", user_text="u")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        _on_threads(*[lambda: [backend.complete(request) for _ in range(50)]] * 8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(overlaps) == 400 and not any(overlaps)
+    assert sum(s.posts for s in _RecordingSession.made) == 400
+    assert len(_RecordingSession.made) <= 8

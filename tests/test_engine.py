@@ -15,7 +15,7 @@ from dualthink.backend import (
     ScriptEntry,
     scripted_backend,
 )
-from dualthink.engine import Engine, answer
+from dualthink.engine import Engine
 from dualthink.errors import BackendError, BackendExhausted, ConfigError, ParseError
 from dualthink.types import (
     SYSTEM2_STAGES,
@@ -485,9 +485,9 @@ def test_trace_round_trips_through_json():
     assert data["steps"][2]["agent"] == "planning"
 
 
-def test_convenience_answer_function():
+def test_an_engine_answers_with_only_a_backend():
     entries = entries_for(OPEN, S1_ONLY, "nitrogen")
-    result = answer(OPEN, ScriptedBackend(list(entries)), S1_ONLY)
+    result = Engine(ScriptedBackend(list(entries))).answer(OPEN, S1_ONLY)
     assert result.final_answer == "nitrogen"
 
 

@@ -14,7 +14,6 @@ from dualthink.errors import ConfigError, IngestError
 from dualthink.retrieval import (
     BM25Index,
     Doc,
-    build_index_from_corpus,
     load_corpus,
     tokenize,
 )
@@ -403,7 +402,7 @@ def test_load_corpus_jsonl(tmp_path):
     docs = load_corpus(path)
     assert [d.doc_id for d in docs] == ["d1", "d2"]
     assert docs[0] == Doc("d1", "alpha beta")
-    index = build_index_from_corpus(path)
+    index = BM25Index.build(docs)
     assert index.search("gamma", 1)[0].doc_id == "d2"
 
 

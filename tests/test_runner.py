@@ -23,6 +23,7 @@ from dualthink.runner import (
     accuracy_vs_tokens,
     run_benchmark,
     score_result,
+    trace_file_name,
     write_ablation_csv,
     write_accuracy_vs_tokens_csv,
     write_atomic,
@@ -33,6 +34,7 @@ from dualthink.types import (
     PipelineConfig,
     Question,
     QuestionKind,
+    ReasoningTrace,
     SearchDecision,
     TokenUsage,
 )
@@ -64,10 +66,14 @@ def make_open(i, aliases, text=None):
 # --- scoring ----------------------------------------------------------------
 
 
+def make_trace(question, answer, option=None, triggered=False, usage=TokenUsage(), **cached):
+    return ReasoningTrace(question.id, (), triggered, answer, option, usage, **cached)
+
+
 def test_mcq_scoring_compares_option_labels():
     question = make_mcq(1, gold="B")
-    hit = score_result(question, "B", "B", False, TokenUsage(10, 5))
-    miss = score_result(question, "A", "A", True, TokenUsage(10, 5))
+    hit = score_result(question, make_trace(question, "B", "B", False, TokenUsage(10, 5)))
+    miss = score_result(question, make_trace(question, "A", "A", True, TokenUsage(10, 5)))
     assert hit.correct is True and miss.correct is False
     assert hit.predicted == "B"
     assert hit.em is None and hit.f1 is None
@@ -76,25 +82,25 @@ def test_mcq_scoring_compares_option_labels():
 
 def test_open_scoring_uses_normalized_match_and_overlap():
     question = make_open(1, ["city of paris", "paris"])
-    exact = score_result(question, "The City of Paris", None, False, TokenUsage())
+    exact = score_result(question, make_trace(question, "The City of Paris"))
     assert exact.correct is True and exact.em == 1.0 and exact.f1 == 1.0
-    partial = score_result(question, "paris region", None, False, TokenUsage())
+    partial = score_result(question, make_trace(question, "paris region"))
     assert partial.correct is False and partial.em == 0.0
     assert partial.f1 == pytest.approx(2 / 3)
 
 
 def test_question_without_gold_stays_unscored():
     question = Question(id="q1", text="ungraded?")
-    result = score_result(question, "anything", None, False, TokenUsage())
+    result = score_result(question, make_trace(question, "anything"))
     assert result.correct is None and result.em is None and result.f1 is None
 
 
 def test_question_result_round_trips_through_json():
     question = make_mcq(7, gold="A", difficulty=Difficulty.HARD)
-    result = score_result(
-        question, "A", "A", True, TokenUsage(120, 40), trace_path="traces/q07.json",
-        cached_usage=TokenUsage(30, 8),
+    trace = make_trace(
+        question, "A", "A", True, TokenUsage(120, 40), cached_usage=TokenUsage(30, 8)
     )
+    result = score_result(question, trace, trace_path="traces/q07.json")
     revived = QuestionResult.from_dict(json.loads(json.dumps(result.to_dict())))
     assert revived == result
 
@@ -316,6 +322,25 @@ def test_unsafe_question_ids_get_distinct_trace_files_inside_traces(tmp_path):
         path = traces / Path(result.trace_path).name
         assert str(path) == result.trace_path
         assert json.loads(path.read_text(encoding="utf-8"))["question_id"] == result.question_id
+
+
+def test_a_question_id_too_long_for_a_file_name_gets_a_cut_name_and_resumes(tmp_path):
+    ids = ["q01", "what is the answer " * 10, "q03"]
+    questions = [dataclasses.replace(make_mcq(i), id=qid) for i, qid in enumerate(ids, 1)]
+    answers = {q.id: "A" for q in questions}
+    out = tmp_path / "run"
+    backend = ScriptedBackend(entries_for_many(questions, S1_ONLY, answers))
+    report = run_benchmark(questions, S1_ONLY, backend, out_dir=out)
+    assert backend.remaining == 0 and not report.errored and len(report.results) == 3
+    for result in report.results:
+        trace = json.loads(Path(result.trace_path).read_text(encoding="utf-8"))
+        assert trace["question_id"] == result.question_id
+        assert len(Path(result.trace_path).name + ".tmp") <= 255
+    again = ScriptedBackend([])
+    assert len(run_benchmark(questions, S1_ONLY, again, out_dir=out).results) == 3
+    assert again.calls == []
+    shared = "x" * 250
+    assert trace_file_name(shared + "a") != trace_file_name(shared + "b")
 
 
 def test_resume_drops_a_torn_last_line_and_answers_that_question_again(tmp_path, caplog):
