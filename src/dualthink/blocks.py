@@ -10,7 +10,8 @@ A block looks like::
 Prose outside the fences is ignored. Inside, every non-blank line must be
 ``KEY: value``; keys are case/whitespace-insensitive and must be unique.
 :func:`parse_block` returns the entries as a plain dict in source order;
-what the keys mean is left to the per-agent readers in ``parsers``.
+what the keys mean is left to the per-agent readers in ``parsers``. The
+writer, ``format_block``, builds scripted replies and lives with the tests.
 """
 
 from __future__ import annotations
@@ -58,8 +59,3 @@ def parse_block(raw: str, tag: str) -> dict[str, str]:
         entries[normalized] = value.strip()
     return entries
 
-
-def format_block(tag: str, entries: list[tuple[str, str]] | tuple[tuple[str, str], ...]) -> str:
-    """Render entries back into fenced form (inverse of parse_block)."""
-    body = [f"{normalize_key(key)}: {value}" for key, value in entries]
-    return "\n".join([f"BEGIN {tag}", *body, f"END {tag}"])

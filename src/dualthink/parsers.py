@@ -1,12 +1,11 @@
-"""Per-agent parsing of fenced blocks into domain values, and the inverses.
+"""Per-agent parsing of fenced blocks into domain values.
 
 Each ``parse_*`` reads its block through one record reader, :func:`_read_block`,
 then checks what is specific to its agent (references to plan, document and
 hypothesis ids, option labels, limits, statuses) and returns domain objects,
 raising ParseError with a reason suitable for feeding back to the model on
-retry. Each ``serialize_*`` renders domain objects into the canonical block
-form; parse(serialize(x)) recovers x for any payload whose strings are
-single-line and comma-free where ids meet commas.
+retry. The inverse writers, which build scripted replies, live with the
+tests (``tests/scripting.py``).
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from __future__ import annotations
 import re
 from typing import Any, Iterable, Mapping, Sequence
 
-from .blocks import format_block, parse_block
+from .blocks import parse_block
 from .errors import ParseError
 from .types import (
     Decision,
@@ -116,14 +115,6 @@ def parse_quick(raw: str) -> QuickAnswer:
     return QuickAnswer(steps=steps, final_answer=answer)
 
 
-def serialize_quick(quick: QuickAnswer) -> str:
-    entries: list[tuple[str, str]] = []
-    for step in quick.steps:
-        entries.append((f"SQ{step.index}", step.subquestion))
-        entries.append((f"SA{step.index}", step.subanswer))
-    entries.append(("ANSWER", quick.final_answer))
-    return format_block("QUICK", entries)
-
 
 # --- reflection gate ----------------------------------------------------
 
@@ -149,14 +140,6 @@ def parse_reflection(raw: str, valid_steps: Sequence[int] = ()) -> ReflectionVer
     )
 
 
-def serialize_reflection(verdict: ReflectionVerdict) -> str:
-    entries = [("DECISION", verdict.decision.value.upper())]
-    if verdict.rationale:
-        entries.append(("RATIONALE", verdict.rationale))
-    if verdict.flagged_steps:
-        entries.append(("FLAGGED", ", ".join(str(i) for i in verdict.flagged_steps)))
-    return format_block("REFLECTION", entries)
-
 
 # --- planning -----------------------------------------------------------
 
@@ -171,9 +154,6 @@ def parse_plan(raw: str, max_subquestions: int) -> Plan:
     items = tuple(PlanItem(f"P{i}", _field(fields[i], None, f"P{i}")) for i in indices)
     return Plan(subquestions=items)
 
-
-def serialize_plan(plan: Plan) -> str:
-    return format_block("PLAN", [(item.id, item.text) for item in plan.subquestions])
 
 
 # --- search decisions ---------------------------------------------------
@@ -204,16 +184,6 @@ def parse_search(raw: str, plan: Plan) -> tuple[SearchDecision, ...]:
     return tuple(decisions)
 
 
-def serialize_search(decisions: Sequence[SearchDecision]) -> str:
-    entries: list[tuple[str, str]] = []
-    for decision in decisions:
-        entries.append(
-            (decision.subquestion_id, "RETRIEVE" if decision.needs_retrieval else "INTERNAL")
-        )
-        for j, query in enumerate(decision.queries, start=1):
-            entries.append((f"{decision.subquestion_id}.Q{j}", query))
-    return format_block("SEARCH", entries)
-
 
 # --- reading ------------------------------------------------------------
 
@@ -239,14 +209,6 @@ def parse_reading(raw: str, available: Mapping[str, Sequence[str]]) -> tuple[Key
         )
     return tuple(insights)
 
-
-def serialize_reading(insights: Sequence[KeyInsight]) -> str:
-    entries: list[tuple[str, str]] = []
-    for insight in insights:
-        entries.append((f"{insight.id} SUBQUESTION", insight.subquestion_id))
-        entries.append((f"{insight.id} SOURCES", ", ".join(insight.source_doc_ids)))
-        entries.append((f"{insight.id} TEXT", insight.text))
-    return format_block("READING", entries)
 
 
 # --- hypothesis generation ----------------------------------------------
@@ -284,14 +246,6 @@ def parse_hypotheses(
         hypotheses.append(Hypothesis(id=f"H{i}", statement=statement, option_label=label))
     return tuple(hypotheses)
 
-
-def serialize_hypotheses(hypotheses: Sequence[Hypothesis]) -> str:
-    entries: list[tuple[str, str]] = []
-    for hyp in hypotheses:
-        if hyp.option_label is not None:
-            entries.append((f"{hyp.id} OPTION", hyp.option_label))
-        entries.append((f"{hyp.id} STATEMENT", hyp.statement))
-    return format_block("HYPOTHESES", entries)
 
 
 # --- integration --------------------------------------------------------
@@ -348,19 +302,6 @@ def parse_integration(
     return tuple(verdicts), integrated
 
 
-def serialize_integration(
-    verdicts: Sequence[HypothesisVerdict], integrated: IntegratedHypothesis
-) -> str:
-    entries: list[tuple[str, str]] = []
-    for verdict in verdicts:
-        entries.append((f"{verdict.hypothesis_id} STATUS", verdict.status.value.upper()))
-        entries.append((f"{verdict.hypothesis_id} EVIDENCE", ", ".join(verdict.cited_insights)))
-        if verdict.justification:
-            entries.append((f"{verdict.hypothesis_id} JUSTIFICATION", verdict.justification))
-    entries.append(("INTEGRATED", integrated.text))
-    entries.append(("INTEGRATED FROM", ", ".join(integrated.supporting_hypothesis_ids)))
-    return format_block("INTEGRATION", entries)
-
 
 # --- decision -----------------------------------------------------------
 
@@ -383,14 +324,6 @@ def parse_decision(
         answer=answer, chosen_option=chosen, ranking=ranking, justification=justification
     )
 
-
-def serialize_decision(decision: Decision) -> str:
-    entries = [("ANSWER", decision.answer)]
-    if decision.ranking:
-        entries.append(("RANKING", ", ".join(decision.ranking)))
-    if decision.justification:
-        entries.append(("JUSTIFICATION", decision.justification))
-    return format_block("DECISION", entries)
 
 
 # --- option-label extraction ---------------------------------------------

@@ -29,7 +29,7 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from .backend import LLMBackend
 from .engine import Engine, check_retriever
@@ -238,8 +238,8 @@ def run_benchmark(
     prompts: PromptLibrary | None = None,
 ) -> Report:
     """Answer and score every question, resuming from ``out_dir`` if present."""
-    run = _Run(name, config, backend, None if out_dir is None else Path(out_dir))
-    return _answer_all(questions, [run], retriever, parallelism, prompts)[0]
+    run = _Run(name, config, None if out_dir is None else Path(out_dir))
+    return _answer_all(questions, [run], backend, retriever, parallelism, prompts)[0]
 
 
 @dataclass
@@ -248,7 +248,6 @@ class _Run:
 
     name: str
     config: PipelineConfig
-    backend: LLMBackend
     path: Path | None
     results: dict[str, QuestionResult] = field(default_factory=dict)
 
@@ -256,14 +255,15 @@ class _Run:
 def _answer_all(
     questions: Sequence[Question],
     runs: Sequence[_Run],
+    backend: LLMBackend,
     retriever: Retriever | None,
     parallelism: int,
     prompts: PromptLibrary | None,
 ) -> list[Report]:
     """Checks every run and opens its directory, answers each question under
-    each run that lacks it, the runs in turn on one thread, then writes the
-    reports. Runs on one backend that is not ``ordered`` share one stage
-    memo per question, dropped when the question is done."""
+    each run that lacks it, the runs in turn through one engine, then writes
+    the reports. With more than one run and a backend that is not
+    ``ordered``, that engine holds a stage memo for its question alone."""
     if parallelism < 1:
         raise ConfigError(f"parallelism must be >= 1, got {parallelism}")
     dupes = _repeated(q.id for q in questions)
@@ -276,17 +276,14 @@ def _answer_all(
             (run.path / "traces").mkdir(parents=True, exist_ok=True)
             _check_config_snapshot(run.path / "config.json", run.config)
             run.results = _load_results(run.path / "results.jsonl")
-    users = Counter(id(run.backend) for run in runs)
-    shared = [users[id(r.backend)] > 1 and not getattr(r.backend, "ordered", False) for r in runs]
+    share = len(runs) > 1 and not getattr(backend, "ordered", False)
     lock = threading.Lock()
 
     def answer(question: Question) -> None:
-        memos: dict[int, dict] = {}  # per backend, for this question only
-        for run, share in zip(runs, shared):
+        engine = Engine(backend, retriever, prompts, {} if share else None)
+        for run in runs:
             if question.id in run.results:
                 continue
-            memo = memos.setdefault(id(run.backend), {}) if share else None
-            engine = Engine(run.backend, retriever, prompts, memo)
             trace_path = run.path and str(run.path / "traces" / trace_file_name(question.id))
             error = None
             try:
@@ -489,7 +486,7 @@ def write_stratified_csv(rows: Sequence[StratumRow], path: str | Path) -> None:
 
 def ablation_sweep(
     questions: Sequence[Question],
-    backend: LLMBackend | Callable[[str], LLMBackend],
+    backend: LLMBackend,
     retriever: Retriever | None = None,
     presets: Sequence[tuple[str, PipelineConfig]] | None = None,
     *,
@@ -500,24 +497,18 @@ def ablation_sweep(
     """Run every preset over the same questions; one report per preset.
 
     Each question goes through every preset before the next one starts;
-    each preset keeps its own run directory, ``out_dir/<slug>``. ``backend``
-    may be a factory taking the preset name, so scripted backends get a
-    fresh script per configuration. When one backend serves every preset,
-    the presets share each question's identical temperature-0 stages,
-    unless its replies depend on call order (``ordered``): a later preset
-    replays the stage's steps as cached usage instead of billed, with its
-    parsed outputs, and makes no call, parse or search for it.
+    each preset keeps its own run directory, ``out_dir/<slug>``. Unless the
+    backend's replies depend on call order (``ordered``), a later preset
+    replays a question's identical temperature-0 stages as cached usage,
+    with their parsed outputs, and makes no call, parse or search for them.
     """
     presets = list(presets if presets is not None else ablation_presets())
     repeated = _repeated(_slug(name) for name, _ in presets)
     if repeated:
         raise ConfigError(f"presets map to the same run directory: {repeated}")
-    runs = [
-        _Run(name, config, backend(name) if callable(backend) else backend,
-             None if out_dir is None else Path(out_dir) / _slug(name))
-        for name, config in presets
-    ]
-    reports = _answer_all(questions, runs, retriever, parallelism, prompts)
+    root = None if out_dir is None else Path(out_dir)
+    runs = [_Run(name, config, root and root / _slug(name)) for name, config in presets]
+    reports = _answer_all(questions, runs, backend, retriever, parallelism, prompts)
     return [(run.name, report) for run, report in zip(runs, reports)]
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable
 
 from .errors import ConfigError
 
@@ -302,12 +302,6 @@ class PipelineConfig:
         data = dataclasses.asdict(self)
         data["stages"] = [s.value for s in SYSTEM2_STAGES if s in self.stages]
         return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "PipelineConfig":
-        kwargs = dict(data)
-        kwargs["stages"] = frozenset(Agent(s) for s in data.get("stages", ()))
-        return cls(**kwargs)
 
 
 def stage_sequence(config: PipelineConfig) -> list[Agent]:

@@ -1,5 +1,10 @@
 """Builders for scripted engine runs.
 
+The ``serialize_*`` writers render domain objects into each agent's
+canonical reply block, the inverse of the matching ``parse_*`` in
+``dualthink.parsers``: parse(serialize(x)) recovers x for any payload whose
+strings are single-line and comma-free where ids meet commas.
+
 `entries_for` lays out exactly the completions one question needs under a
 given config, in call order, each keyed to its agent by the block marker
 that only that agent's prompt contains. Runs driven this way double as call
@@ -8,17 +13,10 @@ that only that agent's prompt contains. Runs driven this way double as call
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from dualthink.backend import ScriptEntry
-from dualthink.parsers import (
-    serialize_decision,
-    serialize_hypotheses,
-    serialize_integration,
-    serialize_plan,
-    serialize_quick,
-    serialize_reading,
-    serialize_reflection,
-    serialize_search,
-)
+from dualthink.blocks import normalize_key
 from dualthink.types import (
     Agent,
     Decision,
@@ -38,6 +36,93 @@ from dualthink.types import (
     Verdict,
     stage_sequence,
 )
+
+
+# --- reply writers -------------------------------------------------------
+
+
+def format_block(tag: str, entries: list[tuple[str, str]] | tuple[tuple[str, str], ...]) -> str:
+    """Render entries back into fenced form (inverse of parse_block)."""
+    body = [f"{normalize_key(key)}: {value}" for key, value in entries]
+    return "\n".join([f"BEGIN {tag}", *body, f"END {tag}"])
+
+
+def serialize_quick(quick: QuickAnswer) -> str:
+    entries: list[tuple[str, str]] = []
+    for step in quick.steps:
+        entries.append((f"SQ{step.index}", step.subquestion))
+        entries.append((f"SA{step.index}", step.subanswer))
+    entries.append(("ANSWER", quick.final_answer))
+    return format_block("QUICK", entries)
+
+
+def serialize_reflection(verdict: ReflectionVerdict) -> str:
+    entries = [("DECISION", verdict.decision.value.upper())]
+    if verdict.rationale:
+        entries.append(("RATIONALE", verdict.rationale))
+    if verdict.flagged_steps:
+        entries.append(("FLAGGED", ", ".join(str(i) for i in verdict.flagged_steps)))
+    return format_block("REFLECTION", entries)
+
+
+def serialize_plan(plan: Plan) -> str:
+    return format_block("PLAN", [(item.id, item.text) for item in plan.subquestions])
+
+
+def serialize_search(decisions: Sequence[SearchDecision]) -> str:
+    entries: list[tuple[str, str]] = []
+    for decision in decisions:
+        entries.append(
+            (decision.subquestion_id, "RETRIEVE" if decision.needs_retrieval else "INTERNAL")
+        )
+        for j, query in enumerate(decision.queries, start=1):
+            entries.append((f"{decision.subquestion_id}.Q{j}", query))
+    return format_block("SEARCH", entries)
+
+
+def serialize_reading(insights: Sequence[KeyInsight]) -> str:
+    entries: list[tuple[str, str]] = []
+    for insight in insights:
+        entries.append((f"{insight.id} SUBQUESTION", insight.subquestion_id))
+        entries.append((f"{insight.id} SOURCES", ", ".join(insight.source_doc_ids)))
+        entries.append((f"{insight.id} TEXT", insight.text))
+    return format_block("READING", entries)
+
+
+def serialize_hypotheses(hypotheses: Sequence[Hypothesis]) -> str:
+    entries: list[tuple[str, str]] = []
+    for hyp in hypotheses:
+        if hyp.option_label is not None:
+            entries.append((f"{hyp.id} OPTION", hyp.option_label))
+        entries.append((f"{hyp.id} STATEMENT", hyp.statement))
+    return format_block("HYPOTHESES", entries)
+
+
+def serialize_integration(
+    verdicts: Sequence[HypothesisVerdict], integrated: IntegratedHypothesis
+) -> str:
+    entries: list[tuple[str, str]] = []
+    for verdict in verdicts:
+        entries.append((f"{verdict.hypothesis_id} STATUS", verdict.status.value.upper()))
+        entries.append((f"{verdict.hypothesis_id} EVIDENCE", ", ".join(verdict.cited_insights)))
+        if verdict.justification:
+            entries.append((f"{verdict.hypothesis_id} JUSTIFICATION", verdict.justification))
+    entries.append(("INTEGRATED", integrated.text))
+    entries.append(("INTEGRATED FROM", ", ".join(integrated.supporting_hypothesis_ids)))
+    return format_block("INTEGRATION", entries)
+
+
+def serialize_decision(decision: Decision) -> str:
+    entries = [("ANSWER", decision.answer)]
+    if decision.ranking:
+        entries.append(("RANKING", ", ".join(decision.ranking)))
+    if decision.justification:
+        entries.append(("JUSTIFICATION", decision.justification))
+    return format_block("DECISION", entries)
+
+
+# --- scripted runs -------------------------------------------------------
+
 
 _PROSE = "Here is my reply.\n\n{block}\n\nEnd of reply."
 

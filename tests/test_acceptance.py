@@ -28,21 +28,13 @@ from dualthink.parsers import (
     parse_reading,
     parse_reflection,
     parse_search,
-    serialize_decision,
-    serialize_hypotheses,
-    serialize_integration,
-    serialize_plan,
-    serialize_quick,
-    serialize_reading,
-    serialize_reflection,
-    serialize_search,
 )
 from dualthink.presets import ablation_presets
 from dualthink.retrieval import BM25Index, Doc
 from dualthink.runner import (
     QuestionResult,
     accuracy_vs_tokens,
-    ablation_sweep,
+    run_benchmark,
     stratified_trigger_report,
 )
 from dualthink.types import (
@@ -60,7 +52,18 @@ from dualthink.types import (
 )
 
 import payload_gen
-from scripting import entries_for, entries_for_many
+from scripting import (
+    entries_for,
+    entries_for_many,
+    serialize_decision,
+    serialize_hypotheses,
+    serialize_integration,
+    serialize_plan,
+    serialize_quick,
+    serialize_reading,
+    serialize_reflection,
+    serialize_search,
+)
 
 # --- 1. the dual-process gate -------------------------------------------------
 
@@ -378,24 +381,17 @@ def test_token_totals_are_conserved_end_to_end(tmp_path):
         ("System 1", ablation_presets()[0][1]),
         ("System 2 (Full)", ablation_presets()[1][1]),
     ]
-    backends = {}
-
-    def factory(name):
-        config = dict(chosen)[name]
+    backends, rows = {}, []
+    for name, config in chosen:  # one script, so one backend, per preset
         entries = entries_for_many(ACCEPT_QUESTIONS, config, ACCEPT_ANSWERS)
         entries += entries_for(doomed, config, "eight")[:-1]
         attempts = config.max_parse_retries + 1
         entries += [ScriptEntry("no block at all", matcher=doomed.text) for _ in range(attempts)]
         backends[name] = ScriptedBackend(entries)
-        return backends[name]
-
-    rows = ablation_sweep(
-        questions,
-        factory,
-        retriever=_mini_index(),
-        presets=chosen,
-        out_dir=tmp_path,
-    )
+        report = run_benchmark(
+            questions, config, backends[name], _mini_index(), out_dir=tmp_path / name, name=name
+        )
+        rows.append((name, report))
 
     traces_checked = 0
     for name, report in rows:

@@ -1,7 +1,9 @@
 import pytest
 
-from dualthink.blocks import format_block, normalize_key, parse_block
+from dualthink.blocks import normalize_key, parse_block
 from dualthink.errors import ParseError
+
+from scripting import format_block
 
 
 def test_parses_a_plain_block():

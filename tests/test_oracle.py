@@ -1,8 +1,11 @@
 """Equivalence oracle: a seeded sweep's run directories, normalized and hashed.
 
-The sweep runs the eight ablation presets plus "System 1 + System 2" over a
-seeded corpus and dataset from ``bench/inputs.py``, answered by the bench's
-stand-in model in-process. Its replies are a pure function of the request,
+The sweep runs the eight ablation presets, "System 1 + System 2", and
+"System 2 (Full)" again with ``k_retrieval`` 3 over a seeded corpus and
+dataset from ``bench/inputs.py``, answered by the bench's stand-in model
+in-process. Every other preset has ``k_retrieval`` 5, so the last one shows
+whether a stage replayed across presets keeps the config values its search
+reads. Its replies are a pure function of the request,
 so the run directories depend only on the program. The sweep includes parse
 retries (the stand-in's truncated first attempts), a reflection fail-open
 and a question that errors mid-pipeline (both injected below).
@@ -20,6 +23,7 @@ purpose, regenerate the list, and say why in CHANGES.md:
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -45,6 +49,7 @@ SEED = 5
 DIGESTS = Path(__file__).parent / "data" / "oracle_digests.json"
 FAIL_OPEN_ID = "q00002"  # its reflection replies are unreadable: the gate fails open
 ERRORED_ID = "q00005"  # its integration call fails: the question errors with a partial trace
+FEWER_DOCS = "System 2 (Full, k_retrieval 3)"
 
 
 class OracleBackend:
@@ -71,7 +76,10 @@ def run_sweep(work: Path) -> Path:
     write_dataset(work / "dataset.jsonl", 20, model)
     questions = load_dataset(str(work / "dataset.jsonl"))
     index = BM25Index.build(load_corpus(work / "corpus.jsonl"))
-    presets = ablation_presets() + [(DUAL_PRESET_NAME, preset(DUAL_PRESET_NAME))]
+    presets = ablation_presets() + [
+        (DUAL_PRESET_NAME, preset(DUAL_PRESET_NAME)),
+        (FEWER_DOCS, dataclasses.replace(preset("System 2 (Full)"), k_retrieval=3)),
+    ]
     backend = OracleBackend(model, {q.id: q.text for q in questions})
     ablation_sweep(questions, backend, index, presets, out_dir=work / "runs")
     return work / "runs"
@@ -137,7 +145,7 @@ def test_the_sweep_covers_retries_a_fail_open_and_an_error(tmp_path):
     assert [r["question_id"] for r in errored] == [ERRORED_ID]
     assert errored[0]["usage"]["prompt_tokens"] > 0
     got = digests(runs)
-    assert len(got) == 9 * (4 + 20)
+    assert len(got) == 10 * (4 + 20)
     expected = json.loads(DIGESTS.read_text(encoding="utf-8"))
     changed = sorted(k for k in expected.keys() | got.keys() if expected.get(k) != got.get(k))
     assert not changed, f"{len(changed)} normalized run files differ, e.g. {changed[:5]}"

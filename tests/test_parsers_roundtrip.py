@@ -11,6 +11,10 @@ from dualthink.parsers import (
     parse_reading,
     parse_reflection,
     parse_search,
+)
+
+import payload_gen as gen
+from scripting import (
     serialize_decision,
     serialize_hypotheses,
     serialize_integration,
@@ -20,8 +24,6 @@ from dualthink.parsers import (
     serialize_reflection,
     serialize_search,
 )
-
-import payload_gen as gen
 
 ROUNDS = 40
 

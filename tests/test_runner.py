@@ -1,8 +1,12 @@
 import csv
 import dataclasses
+import itertools
 import json
+import os
 import random
 import re
+import signal
+import subprocess
 import sys
 import threading
 from collections import Counter
@@ -13,8 +17,7 @@ import pytest
 import dualthink.engine as engine_module
 from dualthink.backend import Completion, ScriptEntry, ScriptedBackend
 from dualthink.errors import BackendError, ConfigError, FormatError
-from dualthink.parsers import serialize_search
-from dualthink.presets import preset
+from dualthink.presets import ablation_presets, preset
 from dualthink.retrieval import BM25Index, Doc
 from dualthink.runner import (
     QuestionResult,
@@ -39,9 +42,10 @@ from dualthink.types import (
     TokenUsage,
 )
 
-from scripting import entries_for, entries_for_many, quick_completion, wrap
+from scripting import entries_for, entries_for_many, quick_completion, serialize_search, wrap
 
 S1_ONLY = PipelineConfig(stages=frozenset(), reflection_enabled=False)
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def make_mcq(i, gold="A", difficulty=None):
@@ -424,20 +428,27 @@ def test_ablation_sweep_runs_each_preset_with_its_own_script(tmp_path):
         ("System 1", preset("System 1")),
         ("System 2 (Hypothesis + Decision)", preset("System 2 (Hypothesis + Decision)")),
     ]
-    built = {}
-
-    def factory(name):
-        config = dict(chosen)[name]
-        built[name] = ScriptedBackend(entries_for_many(questions, config, answers))
-        return built[name]
-
-    rows = ablation_sweep(
-        questions, factory, presets=chosen, out_dir=tmp_path / "sweep"
+    built = {
+        name: ScriptedBackend(entries_for_many(questions, config, answers))
+        for name, config in chosen
+    }
+    alone = [(name, run_benchmark(questions, config, built[name])) for name, config in chosen]
+    # One script in the sweep's order: question by question, each through every preset.
+    script = ScriptedBackend(
+        ScriptEntry(entry.completion)
+        for question in questions
+        for _, config in chosen
+        for entry in entries_for(question, config, answers[question.id])
     )
+    rows = ablation_sweep(questions, script, presets=chosen, out_dir=tmp_path / "sweep")
     assert [name for name, _ in rows] == [name for name, _ in chosen]
-    for name, report in rows:
+    assert script.remaining == 0
+    for (name, report), (_, alone_report) in zip(rows, alone):
         assert report.accuracy_pct == 100.0
         assert built[name].remaining == 0
+        assert [dataclasses.replace(r, trace_path=None) for r in report.results] == (
+            alone_report.results
+        )
     assert (tmp_path / "sweep" / "system-1" / "report.json").is_file()
     assert (
         tmp_path / "sweep" / "system-2-hypothesis-decision" / "report.json"
@@ -545,6 +556,20 @@ def sweep(backend, out_dir, presets=None, parallelism=1, questions=SWEEP_QUESTIO
     )
 
 
+def per_preset(make_backend, out_dir, presets=None, parallelism=1, questions=SWEEP_QUESTIONS):
+    """What a sweep should find: each preset on a backend of its own, one
+    ``run_benchmark`` call each. Returns the rows and the backends by name."""
+    rows, backends = [], {}
+    for name, config in presets if presets is not None else ablation_presets():
+        backends[name] = make_backend()
+        report = run_benchmark(
+            questions, config, backends[name], SWEEP_RETRIEVER,
+            parallelism=parallelism, out_dir=out_dir / name, name=name,
+        )
+        rows.append((name, report))
+    return rows, backends
+
+
 def untimed_trace(result):
     """A result's trace without timing or which steps were replayed: steps
     lose ``wall_ms``, ``start_ms`` and ``cached``, and billed and replayed
@@ -569,17 +594,11 @@ def outcomes(rows):
 
 @pytest.mark.parametrize("parallelism", [1, 3])
 def test_a_shared_sweep_gives_the_results_of_one_backend_per_preset(tmp_path, parallelism):
-    alone = {}
-
-    def factory(name):
-        alone[name] = pure_backend()
-        return alone[name]
-
     interval = sys.getswitchinterval()
     if parallelism > 1:
         sys.setswitchinterval(1e-6)  # interleave the workers as often as possible
     try:
-        separate = sweep(factory, tmp_path / "separate", parallelism=parallelism)
+        separate, alone = per_preset(pure_backend, tmp_path / "separate", parallelism=parallelism)
         shared_backend = pure_backend()
         shared = sweep(shared_backend, tmp_path / "shared", parallelism=parallelism)
     finally:
@@ -666,12 +685,12 @@ def test_a_replayed_hypothesis_starts_no_thread(tmp_path, monkeypatch, case):
             return super().submit(fn, agent, run, *args)
 
     monkeypatch.setattr(engine_module, "ThreadPoolExecutor", CountingPool)
-    backend = pure_backend()
     if case == "per-preset":
-        backend = lambda name: pure_backend()  # noqa: E731
-    elif case == "ordered":
-        backend.ordered = True
-    rows = sweep(backend, tmp_path / "sweep")
+        rows, _ = per_preset(pure_backend, tmp_path / "sweep")
+    else:
+        backend = pure_backend()
+        backend.ordered = case == "ordered"
+        rows = sweep(backend, tmp_path / "sweep")
     assert len(rows) == 8 and all(len(report.results) == 4 for _, report in rows)
     early = {  # the presets whose hypothesis is sent on a thread
         "shared": ["System 2 (Full)"],  # each later one replays it
@@ -683,9 +702,10 @@ def test_a_replayed_hypothesis_starts_no_thread(tmp_path, monkeypatch, case):
         ],
         "ordered": [],
     }[case]
-    assert submitted == [
-        (Agent.HYPOTHESIS, q.id, preset(name)) for q in SWEEP_QUESTIONS for name in early
-    ]
+    pairs = [(q, name) for q in SWEEP_QUESTIONS for name in early]
+    if case == "per-preset":  # one preset's run after another
+        pairs = [(q, name) for name in early for q in SWEEP_QUESTIONS]
+    assert submitted == [(Agent.HYPOTHESIS, q.id, preset(name)) for q, name in pairs]
     assert len(pools) == len(submitted)
 
 
@@ -694,7 +714,7 @@ def test_a_replayed_hypothesis_failure_keeps_its_rank(tmp_path, reading_fails):
     question = SWEEP_QUESTIONS[0]
     failing = {(question.text, "BEGIN READING")} if reading_fails else set()
 
-    def backend(name=None):
+    def backend():
         hopeless = {(question.text, "BEGIN HYPOTHESES")}
         return PureBackend([question], SWEEP_ANSWERS, failing=failing, hopeless=hopeless)
 
@@ -708,7 +728,7 @@ def test_a_replayed_hypothesis_failure_keeps_its_rank(tmp_path, reading_fails):
     ]
     shared_backend = backend()
     shared = sweep(shared_backend, tmp_path / "shared", presets, questions=[question])
-    separate = sweep(backend, tmp_path / "separate", presets, questions=[question])
+    separate, _ = per_preset(backend, tmp_path / "separate", presets, questions=[question])
     hypothesis_calls = [r for r in shared_backend.calls if "BEGIN HYPOTHESES" in r.user_text]
     assert len(hypothesis_calls) == PipelineConfig().max_parse_retries + 1
 
@@ -863,6 +883,102 @@ def test_a_killed_sweep_rebills_at_most_the_question_in_flight(tmp_path, seed):
     assert outcomes(resumed) == outcomes(clean)
 
 
+class TornAppend:
+    """A ``results.jsonl`` handle that writes half of a line, then dies."""
+
+    def __init__(self, handle, die):
+        self.handle, self.die = handle, die
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.handle.close()
+
+    def write(self, line):
+        self.handle.write(line[: len(line) // 2])
+        self.handle.flush()
+        self.die(json.loads(line)["question_id"])
+
+
+def killed_sweep(point, n, out_dir):
+    """The child process of the SIGKILL test: a sweep over KILL_QUESTIONS into
+    ``out_dir/sweep`` that kills itself at the ``n``-th (from 0) event of kind
+    ``point``: a backend call, once billed ("call"); a trace whose temp file
+    is written but not yet renamed ("rename"); a ``results.jsonl`` append
+    ("append"), after half of its line. Each billed call's question id, and
+    the question in flight, go to ``out_dir/log`` by unbuffered writes."""
+    log = os.open(out_dir / "log", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+    events = itertools.count()
+    ids = {q.text: q.id for q in KILL_QUESTIONS}
+
+    def die(question_id):
+        os.write(log, f"killed {question_id}\n".encode())
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    class Billing:
+        def __init__(self, inner):
+            self.inner = inner
+
+        def complete(self, request):
+            question_id = ids[self.inner._route(request)[0]]
+            try:
+                return self.inner.complete(request)
+            finally:
+                os.write(log, f"billed {question_id}\n".encode())
+                if point == "call" and next(events) == n:
+                    die(question_id)
+
+    replace, open_ = os.replace, Path.open
+
+    def replace_or_die(src, dst):
+        if point == "rename" and Path(dst).parent.name == "traces" and next(events) == n:
+            die(Path(dst).stem)
+        replace(src, dst)
+
+    def open_or_tear(path, mode="r", *args, **kwargs):
+        handle = open_(path, mode, *args, **kwargs)
+        if point == "append" and path.name == "results.jsonl" and next(events) == n:
+            return TornAppend(handle, die)
+        return handle
+
+    os.replace, Path.open = replace_or_die, open_or_tear
+    backend = Billing(pure_backend(KILL_QUESTIONS, KILL_ANSWERS))
+    sweep(backend, out_dir / "sweep", questions=KILL_QUESTIONS)
+
+
+@pytest.mark.parametrize("point", ["call", "rename", "append"])
+def test_a_sweep_killed_by_sigkill_rebills_at_most_the_question_in_flight(tmp_path, point):
+    clean_backend = pure_backend(KILL_QUESTIONS, KILL_ANSWERS)
+    clean = sweep(clean_backend, tmp_path / "clean", questions=KILL_QUESTIONS)
+    per_question = Counter(clean_backend._route(r)[0] for r in clean_backend.calls)
+    answers = sum(len(report.results) for _, report in clean)
+    events = len(clean_backend.calls) if point == "call" else answers
+    n = random.Random(f"kill-{point}").randrange(events)
+
+    path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
+    child = subprocess.run(
+        [sys.executable, __file__, point, str(n), str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": path}, timeout=60,
+    )
+    assert child.returncode == -signal.SIGKILL
+    log = (tmp_path / "log").read_text(encoding="utf-8").splitlines()
+    *billed, killed = log
+    assert killed.startswith("killed ") and all(line.startswith("billed ") for line in billed)
+    if point == "rename":
+        assert [p.name for p in tmp_path.rglob("*.tmp")] == [f"{killed[7:]}.json.tmp"]
+    if point == "append":
+        torn = [p for p in tmp_path.rglob("results.jsonl") if not p.read_bytes().endswith(b"\n")]
+        assert len(torn) == 1
+
+    fresh = pure_backend(KILL_QUESTIONS, KILL_ANSWERS)
+    resumed = sweep(fresh, tmp_path / "sweep", questions=KILL_QUESTIONS)
+    in_flight = next(q.text for q in KILL_QUESTIONS if q.id == killed[7:])
+    assert len(billed) + len(fresh.calls) <= len(clean_backend.calls) + per_question[in_flight]
+    assert outcomes(resumed) == outcomes(clean)
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
 def test_a_search_stage_without_a_retriever_is_rejected_before_any_call(tmp_path):
     backend = pure_backend()
     with pytest.raises(ConfigError, match="no retriever"):
@@ -878,3 +994,7 @@ def test_presets_that_map_to_one_run_directory_are_rejected(tmp_path):
         sweep(backend, tmp_path / "sweep", presets)
     assert backend.calls == []
     assert not (tmp_path / "sweep").exists()
+
+
+if __name__ == "__main__":  # the child process of the SIGKILL test
+    killed_sweep(sys.argv[1], int(sys.argv[2]), Path(sys.argv[3]))
