@@ -7,7 +7,8 @@ Multiple-choice records look like::
 
 Open-ended records replace "options"/"answer" with either "answer" (one
 string) or "answers" (list of acceptable strings). Malformed lines raise
-FormatError carrying the 1-based line number.
+FormatError carrying the 1-based line number; :func:`read_jsonl` reads them,
+and the retrieval corpus, a line at a time.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import json
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable, Iterator
 
 from .errors import ConfigError, FormatError
 from .types import Difficulty, Question
@@ -43,26 +44,42 @@ class DatasetSpec:
 def load_dataset(spec: DatasetSpec | str | Path) -> list[Question]:
     if not isinstance(spec, DatasetSpec):
         spec = DatasetSpec(path=str(spec))
+    questions = []
     try:
-        lines = Path(spec.path).read_text(encoding="utf-8").splitlines()
+        for lineno, record in read_jsonl(spec.path, FormatError):
+            if not isinstance(record, dict):
+                raise FormatError("each line must be a JSON object", line=lineno)
+            questions.append(_parse_record(record, lineno, spec.kind))
     except OSError as exc:
         raise FormatError(f"cannot read dataset {spec.path}: {exc}") from exc
-    questions = []
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except ValueError as exc:
-            raise FormatError(f"invalid JSON ({exc})", line=lineno) from exc
-        if not isinstance(record, dict):
-            raise FormatError("each line must be a JSON object", line=lineno)
-        questions.append(_parse_record(record, lineno, spec.kind))
     if spec.shuffle_seed is not None:
         random.Random(spec.shuffle_seed).shuffle(questions)
     if spec.limit is not None:
         questions = questions[: spec.limit]
     return questions
+
+
+def read_jsonl(
+    path: str | Path, error: Callable[[str, int], Exception]
+) -> Iterator[tuple[int, Any]]:
+    """Yield (1-based line number, JSON value) for each non-blank line, read a
+    line at a time and split on ``\\n`` only: a JSON string may hold a raw
+    U+2028, U+2029 or U+0085. A line that is not UTF-8 or not JSON raises
+    ``error(message, lineno)``; an ``OSError`` is the caller's to wrap."""
+    with open(path, "rb") as handle:
+        for lineno, raw in enumerate(handle, start=1):
+            try:
+                line = raw.decode("utf-8").rstrip("\r\n")
+            except UnicodeDecodeError as exc:
+                message = f"{path} is not UTF-8 ({exc.reason} at byte {exc.start})"
+                raise error(message, lineno) from exc
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+            except ValueError as exc:
+                raise error(f"invalid JSON ({exc})", lineno) from exc
+            yield lineno, record
 
 
 def _parse_record(record: dict[str, Any], lineno: int, kind: str) -> Question:

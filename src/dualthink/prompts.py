@@ -323,7 +323,10 @@ class PromptLibrary:
             file = directory / f"{agent.value}.txt"
             if not file.is_file():
                 continue
-            raw = file.read_text(encoding="utf-8")
+            try:
+                raw = file.read_text(encoding="utf-8")
+            except (OSError, UnicodeDecodeError) as exc:
+                raise TemplateError(f"cannot read override {file}: {exc}") from exc
             system_text, user_template = _split_override(raw, templates[agent].system_text)
             if not user_template.strip():
                 raise TemplateError(f"override {file} has an empty user template")

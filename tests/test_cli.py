@@ -600,6 +600,16 @@ def test_index_build_rejects_a_bad_corpus(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_index_build_from_a_corpus_that_is_not_utf8_exits_two(tmp_path, capsys):
+    corpus = tmp_path / "latin1.jsonl"
+    corpus.write_bytes('{"id": "d1", "text": "caf\xe9"}\n'.encode("latin-1"))
+    out = tmp_path / "index.json"
+    assert main(["index", "build", "--corpus", str(corpus), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: corpus {corpus} line 1: {corpus} is not UTF-8")
+    assert not out.exists()
+
+
 # --- trace show ----------------------------------------------------------------------
 
 

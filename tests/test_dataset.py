@@ -133,3 +133,27 @@ def test_spec_validation():
 def test_missing_file(tmp_path):
     with pytest.raises(FormatError):
         load_dataset(tmp_path / "absent.jsonl")
+
+
+def test_dataset_lines_split_on_newline_only(tmp_path):
+    # U+2028, U+2029 and U+0085 may stand unescaped in a JSON string, and
+    # json.dumps(..., ensure_ascii=False) writes them so.
+    texts = ["one?", "two\u2028lines\u2029or\x85three?", "four?"]
+    lines = [
+        json.dumps({"id": f"q{i}", "question": text}, ensure_ascii=False)
+        for i, text in enumerate(texts)
+    ]
+    path = _write(tmp_path, [*lines, "{broken json"])
+    with pytest.raises(FormatError, match="line 4: invalid JSON"):
+        load_dataset(path)
+    path = _write(tmp_path, lines)
+    assert [q.text for q in load_dataset(path)] == texts
+
+
+def test_dataset_that_is_not_utf8_names_the_file_and_line(tmp_path):
+    path = tmp_path / "latin1.jsonl"
+    path.write_bytes('{"question": "ok?"}\n\n{"question": "café?"}\n'.encode("latin-1"))
+    with pytest.raises(FormatError) as info:
+        load_dataset(path)
+    assert info.value.line == 3
+    assert str(info.value).startswith(f"line 3: {path} is not UTF-8")

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from dualthink.errors import TemplateError
@@ -120,3 +122,17 @@ def test_quote_injected_neutralizes_block_markers():
     for line in quoted.splitlines():
         assert line.startswith("  | ")
         assert line.strip() not in ("END QUICK", "BEGIN QUICK")
+
+
+def test_override_that_cannot_be_read_names_the_file(tmp_path, monkeypatch):
+    quick = tmp_path / "quick.txt"
+    quick.write_bytes("Question: ${question}${answer_hint} café".encode("latin-1"))
+    with pytest.raises(TemplateError, match=f"cannot read override {quick}: .*utf-8"):
+        PromptLibrary.from_dir(tmp_path)
+
+    def unreadable(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, "read_text", unreadable)
+    with pytest.raises(TemplateError, match=f"cannot read override {quick}: .*Permission denied"):
+        PromptLibrary.from_dir(tmp_path)

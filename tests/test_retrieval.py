@@ -1,15 +1,20 @@
 import base64
+import gc
 import heapq
+import io
 import itertools
 import json
 import math
 import random
 import struct
 import sys
+import tracemalloc
+from array import array
 from collections import Counter
 
 import pytest
 
+from dualthink import retrieval
 from dualthink.errors import ConfigError, IngestError
 from dualthink.retrieval import (
     BM25Index,
@@ -416,3 +421,114 @@ def test_load_corpus_rejects_malformed_lines(tmp_path):
     missing_field.write_text('{"id": "d1"}\n', encoding="utf-8")
     with pytest.raises(IngestError):
         load_corpus(missing_field)
+
+
+def _one_dump_snapshot_text(index):
+    """The reference snapshot text: the whole snapshot built as one dict, each
+    column flat and as base64, walked by one json.dump."""
+
+    def encode(columns):
+        flat = array("i")
+        for column in columns:
+            flat += column
+        if sys.byteorder == "big":
+            flat.byteswap()
+        return base64.b64encode(flat).decode("ascii")
+
+    terms = list(index.postings)
+    snapshot = {
+        "format_version": 2,
+        "k1": index.k1,
+        "b": index.b,
+        "avgdl": index.avgdl,
+        "doc_lengths": index.doc_lengths,
+        "docs": [{"id": d.doc_id, "text": d.text} for d in index.docs],
+        "terms": terms,
+        "df": [len(index.postings[t]) for t in terms],
+        "ids": encode(index.postings[t] for t in terms),
+        "tfs": encode(index.tfs[t] for t in terms),
+    }
+    out = io.StringIO()
+    json.dump(snapshot, out)
+    return out.getvalue()
+
+
+def test_snapshot_written_in_pieces_is_byte_identical_to_one_json_dump(tmp_path, monkeypatch):
+    # Six values a piece: columns of 5, 6, 7, 11, 12 and 13 values fall just
+    # below, at and above one and two pieces, as one long term or many short.
+    monkeypatch.setattr(retrieval, "_PIECE", 6)
+    path = tmp_path / "index.json"
+    texts = ["Café naïve 東京", "Ünïcödé \u2028 line", "\"quoted\" tab\there", "x"]
+    indexes = [BM25Index.build(_zipf_docs(3, 40, 30), k1=1.4, b=0.6)]
+    for n in (1, 5, 6, 7, 11, 12, 13):
+        many_terms = [Doc("d0", " ".join(f"w{i}" for i in range(n)))]
+        long_term = [Doc(f"d{i}", texts[i % len(texts)] + " shared") for i in range(n)]
+        indexes += [BM25Index.build(many_terms), BM25Index.build(long_term, k1=1, b=1)]
+    assert any(index.avgdl != round(index.avgdl, 3) for index in indexes)
+    for index in indexes:
+        index.save(path)
+        assert path.read_bytes() == _one_dump_snapshot_text(index).encode("utf-8")
+    monkeypatch.undo()
+    index = BM25Index.build(_zipf_docs(4, 2000, 3000))
+    assert sum(map(len, index.postings.values())) > 3 * retrieval._PIECE
+    index.save(path)
+    assert path.read_bytes() == _one_dump_snapshot_text(index).encode("utf-8")
+
+
+def _traced_peak(fn, *args):
+    """What ``fn(*args)`` returns, with the bytes it holds when it returns and
+    the most it held at once, as tracemalloc counts them."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        value = fn(*args)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return value, current, peak
+
+
+def test_save_holds_under_a_third_of_the_snapshot_it_writes(tmp_path):
+    # Building the whole snapshot as one dict held 1.75 times this file.
+    index = BM25Index.build(_zipf_docs(5, 2000, 3000))
+    path = tmp_path / "index.json"
+    _, _, peak = _traced_peak(index.save, path)
+    assert peak < path.stat().st_size / 3
+
+
+def test_load_corpus_holds_little_beyond_the_docs_it_returns(tmp_path):
+    # Reading the whole text and its splitlines() copy held 1.71 times these docs.
+    path = tmp_path / "corpus.jsonl"
+    with path.open("w", encoding="utf-8") as handle:
+        for doc in _zipf_docs(6, 2000, 3000):
+            handle.write(json.dumps({"id": doc.doc_id, "title": "T", "text": doc.text}) + "\n")
+    docs, current, peak = _traced_peak(load_corpus, path)
+    assert len(docs) == 2000
+    assert peak < 1.25 * current
+
+
+def test_load_corpus_splits_lines_on_newline_only(tmp_path):
+    # U+2028, U+2029 and U+0085 may stand unescaped in a JSON string, and
+    # json.dumps(..., ensure_ascii=False) writes them so.
+    path = tmp_path / "corpus.jsonl"
+    texts = ["one\u2028two", "three\u2029four\x85five", "six"]
+    path.write_text(
+        "".join(
+            json.dumps({"id": f"d{i}", "text": text}, ensure_ascii=False) + "\r\n"
+            for i, text in enumerate(texts)
+        )
+        + "not json\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(IngestError, match="line 4: invalid JSON"):
+        load_corpus(path)
+    path.write_text(path.read_text(encoding="utf-8").replace("not json\n", ""), encoding="utf-8")
+    assert [d.text for d in load_corpus(path)] == texts
+
+
+def test_load_corpus_that_is_not_utf8_names_the_file_and_line(tmp_path):
+    path = tmp_path / "latin1.jsonl"
+    path.write_bytes('{"id": "d1", "text": "ok"}\n{"id": "d2", "text": "café"}\n'.encode("latin-1"))
+    with pytest.raises(IngestError) as info:
+        load_corpus(path)
+    assert f"corpus {path} line 2: {path} is not UTF-8" in str(info.value)
