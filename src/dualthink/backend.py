@@ -86,8 +86,10 @@ class RetryPolicy:
             raise ConfigError(f"backoff must be >= 0, got {self.backoff_base}, {self.backoff_max}")
 
     def delay(self, attempt: int) -> float:
-        """Seconds to sleep after failed attempt ``attempt`` (1-based)."""
-        return min(self.backoff_base * (2 ** (attempt - 1)), self.backoff_max)
+        """Seconds to sleep after failed attempt ``attempt`` (1-based). The
+        doubling stops at 2.0 ** 1023, the largest power of two a float holds,
+        where any base above 1e-300 has passed the cap."""
+        return min(self.backoff_base * 2.0 ** min(attempt - 1, 1023), self.backoff_max)
 
 
 class HttpChatBackend:
@@ -356,16 +358,3 @@ class ScriptedBackend:
             entries.append(ScriptEntry(completion, matcher, usage))
         return cls(entries)
 
-
-def scripted_backend(*entries: str | tuple[str, str] | ScriptEntry) -> ScriptedBackend:
-    """Shorthand: strings, (matcher, completion) pairs, or ScriptEntry values."""
-    built = []
-    for entry in entries:
-        if isinstance(entry, ScriptEntry):
-            built.append(entry)
-        elif isinstance(entry, tuple):
-            matcher, completion = entry
-            built.append(ScriptEntry(completion=completion, matcher=matcher))
-        else:
-            built.append(ScriptEntry(completion=entry))
-    return ScriptedBackend(built)

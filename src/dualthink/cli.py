@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from .backend import HttpChatBackend, LLMBackend, RetryPolicy, ScriptedBackend
-from .dataset import DATASET_KINDS, DatasetSpec, load_dataset
+from .dataset import DATASET_KINDS, load_dataset
 from .engine import Engine
 from .errors import BackendError, ConfigError, DualThinkError, ParseError
 from .presets import DUAL_PRESET_NAME, ablation_presets, preset, preset_names
@@ -253,7 +253,7 @@ def _prompts(settings: Settings) -> PromptLibrary | None:
 def _dataset(settings: Settings) -> list[Question]:
     if "path" not in settings["dataset"]:
         raise DualThinkError("no dataset given (use --dataset or [dataset] path)")
-    return load_dataset(DatasetSpec(**settings["dataset"]))
+    return load_dataset(**settings["dataset"])
 
 
 def _run_options(settings: Settings) -> dict[str, Any]:
@@ -364,11 +364,25 @@ def _cmd_index_build(args: argparse.Namespace, settings: Settings) -> int:
     return 0
 
 
+def _is_trace(trace: Any) -> bool:
+    """Whether ``trace`` has the shape ``trace show`` prints; fields that
+    traces gained later (``start_ms``, ``cached``) may be missing."""
+    steps = trace.get("steps", []) if isinstance(trace, dict) else None
+    if not isinstance(steps, list) or not all(isinstance(step, dict) for step in steps):
+        return False
+    usages = [trace.get("total_usage", {}), trace.get("cached_usage", {})]
+    usages += [step.get("usage", {}) for step in steps]
+    texts = [step.get("completion", "") for step in steps]
+    return all(isinstance(u, dict) for u in usages) and all(isinstance(t, str) for t in texts)
+
+
 def _cmd_trace_show(args: argparse.Namespace, settings: Settings) -> int:
     try:
         trace = json.loads(Path(args.path).read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
         raise DualThinkError(f"cannot read trace {args.path}: {exc}") from exc
+    if not _is_trace(trace):
+        raise DualThinkError(f"{args.path} is not a trace written by ask or bench")
     usage = trace.get("total_usage", {})
     print(f"question: {trace.get('question_id')}")
     print(f"system 2 triggered: {trace.get('system2_triggered')}")

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterator
 
@@ -25,38 +24,26 @@ from .types import Difficulty, Question
 DATASET_KINDS = ("auto", "mcq", "open")
 
 
-@dataclass(frozen=True)
-class DatasetSpec:
-    """Where to load from, plus optional shuffling and truncation."""
-
-    path: str
-    kind: str = "auto"
-    limit: int | None = None
-    shuffle_seed: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in DATASET_KINDS:
-            raise FormatError(f"dataset kind must be auto, mcq, or open; got {self.kind!r}")
-        if self.limit is not None and self.limit < 1:
-            raise FormatError(f"dataset limit must be >= 1, got {self.limit}")
-
-
-def load_dataset(spec: DatasetSpec | str | Path) -> list[Question]:
-    if not isinstance(spec, DatasetSpec):
-        spec = DatasetSpec(path=str(spec))
+def load_dataset(
+    path: str | Path, kind: str = "auto", limit: int | None = None, shuffle_seed: int | None = None
+) -> list[Question]:
+    """The questions in ``path``, each checked against ``kind``, shuffled
+    when ``shuffle_seed`` is given, then cut to the first ``limit``."""
+    if kind not in DATASET_KINDS:
+        raise FormatError(f"dataset kind must be auto, mcq, or open; got {kind!r}")
+    if limit is not None and limit < 1:
+        raise FormatError(f"dataset limit must be >= 1, got {limit}")
     questions = []
     try:
-        for lineno, record in read_jsonl(spec.path, FormatError):
+        for lineno, record in read_jsonl(path, FormatError):
             if not isinstance(record, dict):
                 raise FormatError("each line must be a JSON object", line=lineno)
-            questions.append(_parse_record(record, lineno, spec.kind))
+            questions.append(_parse_record(record, lineno, kind))
     except OSError as exc:
-        raise FormatError(f"cannot read dataset {spec.path}: {exc}") from exc
-    if spec.shuffle_seed is not None:
-        random.Random(spec.shuffle_seed).shuffle(questions)
-    if spec.limit is not None:
-        questions = questions[: spec.limit]
-    return questions
+        raise FormatError(f"cannot read dataset {path}: {exc}") from exc
+    if shuffle_seed is not None:
+        random.Random(shuffle_seed).shuffle(questions)
+    return questions[:limit]
 
 
 def read_jsonl(

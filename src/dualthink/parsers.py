@@ -1,11 +1,13 @@
-"""Per-agent parsing of fenced blocks into domain values.
+"""Reading agent replies into domain values.
 
-Each ``parse_*`` reads its block through one record reader, :func:`_read_block`,
-then checks what is specific to its agent (references to plan, document and
-hypothesis ids, option labels, limits, statuses) and returns domain objects,
-raising ParseError with a reason suitable for feeding back to the model on
-retry. The inverse writers, which build scripted replies, live with the
-tests (``tests/scripting.py``).
+Every agent replies in one fenced block (``BEGIN PLAN``, then ``P1: ...``
+lines, then ``END PLAN``). Each ``parse_*`` reads its block through one
+record reader, :func:`_read_block`, then checks what is specific to its
+agent (references to plan, document and hypothesis ids, option labels,
+limits, statuses) and returns domain objects, raising ParseError with a
+reason suitable for feeding back to the model on retry. The inverse
+writers, which build scripted replies, live with the tests
+(``tests/scripting.py``).
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from __future__ import annotations
 import re
 from typing import Any, Iterable, Mapping, Sequence
 
-from .blocks import parse_block
 from .errors import ParseError
 from .types import (
     Decision,
@@ -40,17 +41,47 @@ def _read_block(
 ) -> tuple[dict[str, str], dict[Any, dict[Any, str]]]:
     """Read the ``tag`` block into its single lines and its numbered fields.
 
+    The block runs from the one ``BEGIN tag`` line to the next ``END tag``;
+    prose outside it is ignored. Lines are split as ``str.splitlines`` does,
+    as ``prompts.quote_injected`` splits what it quotes, so no quoted line
+    can close a block. Each non-blank line is ``KEY: value``, split at the
+    first ``:``; keys are uppercased with whitespace collapsed.
+
     Returns ``(single values by key, {id: {part: value}})``. A key listed in
     ``singles`` is a single line; any other key must fully match
     ``pattern``, whose ``id`` group and optional ``part`` group (None when
     absent) name the field. Groups made of digits become ints, so ``P1.Q1``
-    and ``P1.Q01`` name the same field; a field given twice is a ParseError,
-    and so is a key that is neither a single line nor a field.
+    and ``P1.Q01`` name the same field. A bad fence is a ParseError, and so
+    is the first bad line: no ``:``, an empty or repeated key, a field given
+    twice, or a key that is neither a single line nor a field.
     """
-    block = parse_block(raw, tag)
+    begin_marker, end_marker = f"BEGIN {tag}", f"END {tag}"
+    lines = [line.strip() for line in raw.splitlines()]
+    if begin_marker not in lines:
+        raise ParseError(f"no {begin_marker!r} line found")
+    if lines.count(begin_marker) > 1:
+        raise ParseError(f"multiple {begin_marker!r} lines found; expected exactly one")
+    start = lines.index(begin_marker) + 1
+    if end_marker not in lines[start:]:
+        raise ParseError(f"{begin_marker!r} without matching {end_marker!r}")
+
+    keys: set[str] = set()
+    values: dict[str, str] = {}
     fields: dict[Any, dict[Any, str]] = {}
-    for key, value in block.items():
+    for line in lines[start : lines.index(end_marker, start)]:
+        if not line:
+            continue
+        key, sep, value = line.partition(":")
+        if not sep:
+            raise ParseError(f"line inside {tag} block has no ':' separator: {line!r}")
+        key = " ".join(key.upper().split())
+        if not key:
+            raise ParseError(f"line inside {tag} block has an empty key: {line!r}")
+        if key in keys:
+            raise ParseError(f"duplicate key {key!r} inside {tag} block")
+        keys.add(key)
         if key in singles:
+            values[key] = value.strip()
             continue
         match = re.fullmatch(pattern, key) if pattern else None
         if not match:
@@ -62,8 +93,8 @@ def _read_block(
         parts = fields.setdefault(field_id, {})
         if part in parts:
             raise ParseError(f"{key!r} repeats a field already given in the {tag} block")
-        parts[part] = value
-    return {key: block[key] for key in singles if key in block}, fields
+        parts[part] = value.strip()
+    return values, fields
 
 
 def _field(values: Mapping[Any, str], key: Any, what: str, allow_empty: bool = False) -> str:

@@ -311,9 +311,10 @@ class PromptLibrary:
         """Defaults, with any ``<agent>.txt`` files in ``path`` overriding.
 
         An override file is either the user template alone, or a system text
-        and user template separated by a line containing only ``---``. Its
-        user template must use exactly the default template's placeholders,
-        and every other ``$`` must be written ``$$``.
+        and user template separated by a line containing only ``---``. Only
+        a newline, CRLF or CR ends a line; a U+2028, form feed or other break
+        is kept as written. Its user template must use exactly the default
+        template's placeholders, and every other ``$`` must be written ``$$``.
         """
         directory = Path(path)
         if not directory.is_dir():
@@ -345,7 +346,9 @@ class PromptLibrary:
 
 
 def _split_override(raw: str, default_system: str) -> tuple[str, str]:
-    lines = raw.splitlines()
+    # "\n" is the only break: reading the file in text mode has already made
+    # "\r\n" and "\r" into "\n", and a U+2028 or form feed is the author's text.
+    lines = raw.removesuffix("\n").split("\n")
     for i, line in enumerate(lines):
         if line.strip() == OVERRIDE_SEPARATOR:
             system = "\n".join(lines[:i]).strip()

@@ -353,14 +353,6 @@ class ReasoningTrace:
         """Agent names in call order; ``parsed_only`` keeps successful parses."""
         return [s.agent for s in self.steps if s.parsed is not None or not parsed_only]
 
-    def stage_agents(self) -> list[Agent]:
-        """Successfully executed deliberation stages, in order."""
-        return [
-            s.agent
-            for s in self.steps
-            if s.agent in SYSTEM2_STAGES and s.parsed is not None
-        ]
-
     def to_dict(self) -> dict[str, Any]:
         return to_jsonable(self)
 

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from dualthink.backend import ScriptEntry
-from dualthink.blocks import normalize_key
+from dualthink.backend import ScriptedBackend, ScriptEntry
 from dualthink.types import (
+    SYSTEM2_STAGES,
     Agent,
     Decision,
     Hypothesis,
@@ -30,6 +30,7 @@ from dualthink.types import (
     PlanItem,
     Question,
     QuickAnswer,
+    ReasoningTrace,
     ReflectionVerdict,
     SearchDecision,
     SubStep,
@@ -42,8 +43,9 @@ from dualthink.types import (
 
 
 def format_block(tag: str, entries: list[tuple[str, str]] | tuple[tuple[str, str], ...]) -> str:
-    """Render entries back into fenced form (inverse of parse_block)."""
-    body = [f"{normalize_key(key)}: {value}" for key, value in entries]
+    """Render entries back into fenced form, each key as the reader
+    normalizes it: uppercased, its whitespace collapsed."""
+    body = [f"{' '.join(key.upper().split())}: {value}" for key, value in entries]
     return "\n".join([f"BEGIN {tag}", *body, f"END {tag}"])
 
 
@@ -122,6 +124,25 @@ def serialize_decision(decision: Decision) -> str:
 
 
 # --- scripted runs -------------------------------------------------------
+
+
+def scripted_backend(*entries: str | tuple[str, str] | ScriptEntry) -> ScriptedBackend:
+    """Shorthand: strings, (matcher, completion) pairs, or ScriptEntry values."""
+    built = []
+    for entry in entries:
+        if isinstance(entry, ScriptEntry):
+            built.append(entry)
+        elif isinstance(entry, tuple):
+            matcher, completion = entry
+            built.append(ScriptEntry(completion=completion, matcher=matcher))
+        else:
+            built.append(ScriptEntry(completion=entry))
+    return ScriptedBackend(built)
+
+
+def stage_agents(trace: ReasoningTrace) -> list[Agent]:
+    """Successfully executed deliberation stages, in order."""
+    return [s.agent for s in trace.steps if s.agent in SYSTEM2_STAGES and s.parsed is not None]
 
 
 _PROSE = "Here is my reply.\n\n{block}\n\nEnd of reply."

@@ -63,6 +63,7 @@ from scripting import (
     serialize_reading,
     serialize_reflection,
     serialize_search,
+    stage_agents,
 )
 
 # --- 1. the dual-process gate -------------------------------------------------
@@ -126,11 +127,11 @@ def test_gating_invariant_over_fifty_scenarios():
         sequence = result.trace.agent_sequence()
         assert ("reflection" in [a.value for a in sequence]) == gate_ran
         if expected:
-            assert result.trace.stage_agents() == stage_sequence(config)
+            assert stage_agents(result.trace) == stage_sequence(config)
         else:
             # accept short-circuit: the quick answer comes back untouched
             # and nothing ever hits the retriever
-            assert result.trace.stage_agents() == []
+            assert stage_agents(result.trace) == []
             assert retriever.calls == 0
         assert result.final_answer == "nitrogen"
 
@@ -197,7 +198,7 @@ def test_each_preset_runs_exactly_its_stage_sequence():
         engine = Engine(backend, retriever=index)
         for question in ACCEPT_QUESTIONS:
             result = engine.answer(question, config)
-            assert result.trace.stage_agents() == stage_sequence(config), name
+            assert stage_agents(result.trace) == stage_sequence(config), name
             assert result.trace.system2_triggered == (name != "System 1"), name
             if question.kind is QuestionKind.MCQ:
                 assert result.chosen_option == ACCEPT_ANSWERS[question.id]
@@ -595,7 +596,7 @@ def test_live_http_full_pipeline_smoke():
 
     trace = result.trace
     assert trace.system2_triggered is True
-    assert trace.stage_agents() == stage_sequence(config)
+    assert stage_agents(trace) == stage_sequence(config)
     assert result.chosen_option in dict(question.options)
     assert result.final_answer.strip()
     assert trace.total_usage.total > 0

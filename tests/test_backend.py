@@ -13,7 +13,6 @@ from dualthink.backend import (
     ScriptedBackend,
     ScriptEntry,
     estimate_tokens,
-    scripted_backend,
 )
 from dualthink.errors import (
     BackendError,
@@ -22,6 +21,8 @@ from dualthink.errors import (
     ConfigError,
 )
 from dualthink.types import TokenUsage
+
+from scripting import scripted_backend
 
 
 # --- token estimation -------------------------------------------------------
@@ -160,6 +161,15 @@ def test_scripted_from_file_rejects_a_malformed_entry_at_load(tmp_path, entry, m
 def test_retry_delays_are_deterministic_and_capped():
     policy = RetryPolicy(max_attempts=6, backoff_base=0.5, backoff_max=3.0)
     assert [policy.delay(i) for i in range(1, 6)] == [0.5, 1.0, 2.0, 3.0, 3.0]
+
+
+def test_retry_delay_of_a_large_attempt_is_the_cap():
+    # 2 ** 1024 is an int no float can hold; a long outage must fail one
+    # question, not abort the run with an OverflowError
+    policy = RetryPolicy(max_attempts=2000)
+    assert policy.delay(1100) == policy.backoff_max
+    assert policy.delay(1025) == policy.backoff_max
+    assert RetryPolicy(backoff_base=0.0).delay(1100) == 0.0
 
 
 # --- http backend ------------------------------------------------------------------

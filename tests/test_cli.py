@@ -717,3 +717,17 @@ def test_trace_show_missing_file_exits_two(tmp_path, capsys):
     code = main(["trace", "show", str(tmp_path / "absent.json")])
     assert code == 2
     assert "cannot read trace" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["[1, 2]", '{"steps": [1]}', '{"total_usage": 5}', '{"steps": [{"usage": []}]}',
+     '{"steps": [{"completion": null}]}', '{"steps": {}}', '{"cached_usage": "x"}'],
+)
+def test_trace_show_on_json_that_is_not_a_trace_exits_two(tmp_path, capsys, text):
+    path = tmp_path / "t.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["trace", "show", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {path} is not a trace written by ask or bench\n"
+    assert captured.out == ""

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from dualthink.dataset import DatasetSpec, load_dataset
+from dualthink.dataset import load_dataset
 from dualthink.errors import FormatError
 from dualthink.types import Difficulty, QuestionKind
 
@@ -96,38 +96,40 @@ def test_kind_constraint_is_enforced(tmp_path):
     )
     open_line = json.dumps({"id": "q", "question": "x?", "answer": "y"})
     path = _write(tmp_path, [mcq_line])
-    load_dataset(DatasetSpec(path=str(path), kind="mcq"))
+    load_dataset(path, kind="mcq")
     with pytest.raises(FormatError):
-        load_dataset(DatasetSpec(path=str(path), kind="open"))
+        load_dataset(path, kind="open")
     path2 = _write(tmp_path, [open_line], name="open.jsonl")
-    load_dataset(DatasetSpec(path=str(path2), kind="open"))
+    load_dataset(path2, kind="open")
     with pytest.raises(FormatError):
-        load_dataset(DatasetSpec(path=str(path2), kind="mcq"))
+        load_dataset(path2, kind="mcq")
 
 
 def test_limit_and_shuffle(tmp_path):
     lines = [json.dumps({"id": f"q{i}", "question": f"n {i}?"}) for i in range(10)]
     path = _write(tmp_path, lines)
-    limited = load_dataset(DatasetSpec(path=str(path), limit=3))
+    limited = load_dataset(path, limit=3)
     assert [q.id for q in limited] == ["q0", "q1", "q2"]
     # limit larger than the dataset is clamped, not an error
-    assert len(load_dataset(DatasetSpec(path=str(path), limit=99))) == 10
+    assert len(load_dataset(path, limit=99)) == 10
 
-    shuffled = load_dataset(DatasetSpec(path=str(path), shuffle_seed=42))
+    shuffled = load_dataset(path, shuffle_seed=42)
     assert sorted(q.id for q in shuffled) == sorted(f"q{i}" for i in range(10))
     assert [q.id for q in shuffled] != [f"q{i}" for i in range(10)]
-    again = load_dataset(DatasetSpec(path=str(path), shuffle_seed=42))
+    again = load_dataset(path, shuffle_seed=42)
     assert [q.id for q in again] == [q.id for q in shuffled]
     # shuffle happens before the limit, so the prefix differs too
-    head = load_dataset(DatasetSpec(path=str(path), shuffle_seed=42, limit=4))
+    head = load_dataset(path, shuffle_seed=42, limit=4)
     assert [q.id for q in head] == [q.id for q in shuffled][:4]
 
 
-def test_spec_validation():
-    with pytest.raises(FormatError):
-        DatasetSpec(path="x", kind="weird")
-    with pytest.raises(FormatError):
-        DatasetSpec(path="x", limit=0)
+def test_spec_validation(tmp_path):
+    # kind and limit are checked before the file is opened
+    absent = tmp_path / "absent.jsonl"
+    with pytest.raises(FormatError, match="dataset kind must be auto, mcq, or open"):
+        load_dataset(absent, kind="weird")
+    with pytest.raises(FormatError, match="dataset limit must be >= 1"):
+        load_dataset(absent, limit=0)
 
 
 def test_missing_file(tmp_path):

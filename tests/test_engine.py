@@ -13,7 +13,6 @@ from dualthink.backend import (
     Completion,
     ScriptedBackend,
     ScriptEntry,
-    scripted_backend,
 )
 from dualthink.engine import Engine
 from dualthink.errors import BackendError, BackendExhausted, ConfigError, ParseError
@@ -30,7 +29,14 @@ from dualthink.types import (
     to_jsonable,
 )
 
-from scripting import entries_for, quick_completion, reflection_completion, wrap
+from scripting import (
+    entries_for,
+    quick_completion,
+    reflection_completion,
+    scripted_backend,
+    stage_agents,
+    wrap,
+)
 
 MCQ = Question(
     id="q1",
@@ -129,7 +135,7 @@ def test_stage_subset_runs_in_canonical_order():
     entries = entries_for(MCQ, NO_SEARCH, "A")
     result = run(MCQ, NO_SEARCH, entries)
     assert result.trace.agent_sequence() == [Agent.HYPOTHESIS, Agent.DECISION]
-    assert result.trace.stage_agents() == stage_sequence(NO_SEARCH)
+    assert stage_agents(result.trace) == stage_sequence(NO_SEARCH)
 
 
 # --- parse retries ----------------------------------------------------------

@@ -94,6 +94,20 @@ def test_override_without_separator_keeps_default_system(tmp_path):
     assert decision.system_text == PromptLibrary.default().get(Agent.DECISION).system_text
 
 
+def test_override_keeps_every_line_break_but_newline_as_written(tmp_path):
+    quick = tmp_path / "quick.txt"
+    for brk in ["\u2028", "\u2029", "\x85", "\f", "\v"]:
+        system, user = f"one{brk}two", f"Q: ${{question}}{brk}${{answer_hint}}"
+        quick.write_text(f"{system}\n---\n{user}\n", encoding="utf-8")
+        template = PromptLibrary.from_dir(tmp_path).get(Agent.QUICK)
+        assert (template.system_text, template.user_template) == (system, user), repr(brk)
+    # CRLF files load as LF ones do
+    quick.write_bytes(b"sys\r\nline\r\n---\r\nQ: ${question}\r\n${answer_hint}\r\n")
+    template = PromptLibrary.from_dir(tmp_path).get(Agent.QUICK)
+    assert template.system_text == "sys\nline"
+    assert template.user_template == "Q: ${question}\n${answer_hint}"
+
+
 def test_empty_override_is_rejected(tmp_path):
     (tmp_path / "search.txt").write_text("   \n", encoding="utf-8")
     with pytest.raises(TemplateError):
