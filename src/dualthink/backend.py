@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import threading
 import time
@@ -47,8 +48,8 @@ class ChatRequest:
     def __post_init__(self) -> None:
         if not self.user_text:
             raise ConfigError("user_text must be non-empty")
-        if self.temperature < 0:
-            raise ConfigError(f"temperature must be >= 0, got {self.temperature}")
+        if not 0 <= self.temperature < math.inf:
+            raise ConfigError(f"temperature must be >= 0 and finite, got {self.temperature}")
         if self.max_tokens < 1:
             raise ConfigError(f"max_tokens must be >= 1, got {self.max_tokens}")
 
@@ -82,8 +83,10 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ConfigError(f"max_attempts must be >= 1, got {self.max_attempts}")
-        if not (self.backoff_base >= 0 and self.backoff_max >= 0):
-            raise ConfigError(f"backoff must be >= 0, got {self.backoff_base}, {self.backoff_max}")
+        if not (0 <= self.backoff_base < math.inf and 0 <= self.backoff_max < math.inf):
+            raise ConfigError(
+                f"backoff must be >= 0 and finite, got {self.backoff_base}, {self.backoff_max}"
+            )
 
     def delay(self, attempt: int) -> float:
         """Seconds to sleep after failed attempt ``attempt`` (1-based). The
@@ -96,16 +99,18 @@ class HttpChatBackend:
     """Client for an OpenAI-style ``POST {endpoint}/chat/completions`` API.
 
     Retries transport errors, 429, and 5xx responses per the retry policy;
-    other 4xx responses fail immediately. The API key is read from an
-    environment variable, never from config files, and sent as ``auth``; a
-    ``~/.netrc`` entry applies only when no key is set. A call takes one of
-    the backend's idle ``requests.Session`` objects, or builds one, and puts
-    it back once it has a reply (a call that fails drops it): requests does
-    not document a session as thread-safe, so no two calls use one at once,
-    yet its connections outlive the thread that made the call. Its sessions
-    have ``trust_env`` off: proxies, the CA bundle and netrc are read from
-    the environment once, here. An injected ``session`` is used as given, by
-    every call.
+    other 4xx responses fail immediately. A retried response's
+    ``Retry-After`` in seconds lengthens the policy's delay up to
+    ``retry.backoff_max``; a longer one gives up at once. The API key is
+    read from an environment variable, never from config files, and sent as
+    ``auth``; a ``~/.netrc`` entry applies only when no key is set. A call
+    takes one of the backend's idle ``requests.Session`` objects, or builds
+    one, and puts it back once it has a reply (a call that fails drops it):
+    requests does not document a session as thread-safe, so no two calls use
+    one at once, yet its connections outlive the thread that made the call.
+    Its sessions have ``trust_env`` off: proxies, the CA bundle and netrc are
+    read from the environment once, here. An injected ``session`` is used as
+    given, by every call.
     """
 
     def __init__(
@@ -122,8 +127,8 @@ class HttpChatBackend:
             raise ConfigError("backend endpoint must be non-empty")
         if not model:
             raise ConfigError("backend model must be non-empty")
-        if not timeout > 0:
-            raise ConfigError(f"backend timeout must be > 0 seconds, got {timeout}")
+        if not 0 < timeout < math.inf:
+            raise ConfigError(f"backend timeout must be > 0 seconds and finite, got {timeout}")
         self.endpoint = endpoint.rstrip("/")
         self.model = model
         self.api_key_env = api_key_env
@@ -176,6 +181,7 @@ class HttpChatBackend:
         session = self._take_session()
         last_error: Exception | None = None
         for attempt in range(1, self.retry.max_attempts + 1):
+            wait = 0.0
             try:
                 response = session.post(
                     self._url, json=payload, auth=self._auth(), timeout=self.timeout,
@@ -198,6 +204,12 @@ class HttpChatBackend:
                         self.retry.max_attempts,
                         response.status_code,
                     )
+                    wait = _retry_after(response)
+                    if wait > self.retry.backoff_max:
+                        raise BackendExhausted(
+                            f"HTTP {response.status_code} asked to retry after {wait:g}s, "
+                            f"more than the {self.retry.backoff_max:g}s backoff cap"
+                        )
                 elif response.status_code >= 400:
                     raise BackendHTTPError(response.status_code, _body_snippet(response))
                 else:
@@ -205,7 +217,7 @@ class HttpChatBackend:
                         self._idle.append(session)
                     return self._parse_response(request, response)
             if attempt < self.retry.max_attempts:
-                self._sleep(self.retry.delay(attempt))
+                self._sleep(max(self.retry.delay(attempt), wait))
         if isinstance(last_error, BackendTimeout):
             raise last_error
         raise BackendExhausted(
@@ -254,6 +266,13 @@ def _count(usage: dict, key: str) -> int | None:
     if value is not None and not _is_count(value):
         raise BackendError(f"malformed response body: usage.{key} is {value!r}, not a count")
     return value
+
+
+def _retry_after(response: requests.Response) -> float:
+    """The wait a ``Retry-After`` header asks for in delta-seconds (RFC 9110
+    section 10.2.3); 0 when it is missing, an HTTP-date or malformed."""
+    value = response.headers.get("Retry-After", "").strip()
+    return float(value) if value.isascii() and value.isdigit() else 0.0
 
 
 def _body_snippet(response: requests.Response, limit: int = 200) -> str:

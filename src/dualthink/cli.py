@@ -32,6 +32,7 @@ from .retrieval import BM25Index, load_corpus
 from .runner import (
     ablation_sweep,
     accuracy_vs_tokens,
+    check_stratifiable,
     run_benchmark,
     stratified_trigger_report,
     write_ablation_csv,
@@ -292,8 +293,11 @@ def _cmd_ask(args: argparse.Namespace, settings: Settings) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace, settings: Settings) -> int:
+    questions = _dataset(settings)
+    if args.stratified:
+        check_stratifiable(questions)
     report = run_benchmark(
-        _dataset(settings),
+        questions,
         _pipeline(settings),
         _backend(settings),
         _retriever(settings),

@@ -59,7 +59,8 @@ class BackendHTTPError(BackendError):
 
 
 class BackendExhausted(BackendError):
-    """No attempt succeeded: retries spent, or a scripted backend ran dry."""
+    """No attempt succeeded: retries spent, a server asked for a longer wait
+    than the backoff cap, or a scripted backend ran dry."""
 
 
 class IngestError(DualThinkError):

@@ -452,15 +452,7 @@ def stratified_trigger_report(results: Iterable[QuestionResult]) -> list[Stratum
     """
     counts: dict[tuple[Difficulty, str], list[int]] = {}
     for result in results:
-        if result.difficulty is None:
-            raise ConfigError(
-                f"question {result.question_id} has no difficulty; "
-                "a stratified report needs one on every question"
-            )
-        if result.correct is None:
-            raise ConfigError(
-                f"question {result.question_id} has no gold answer; cannot stratify"
-            )
+        _check_stratum(result.question_id, result.difficulty, result.correct is not None)
         mode = "System 2" if result.system2_triggered else "System 1"
         cell = counts.setdefault((result.difficulty, mode), [0, 0])
         cell[0 if result.correct else 1] += 1
@@ -471,6 +463,25 @@ def stratified_trigger_report(results: Iterable[QuestionResult]) -> list[Stratum
                 correct, incorrect = counts[(difficulty, mode)]
                 rows.append(StratumRow(difficulty, mode, correct, incorrect))
     return rows
+
+
+def check_stratifiable(questions: Iterable[Question]) -> None:
+    """Raise the ConfigError :func:`stratified_trigger_report` would raise on
+    these questions' results, before any is answered: each needs a difficulty
+    and a gold that :func:`score_result` scores (a label, or an alias)."""
+    for q in questions:
+        scored = q.gold is not None if q.kind is QuestionKind.MCQ else bool(q.gold_aliases)
+        _check_stratum(q.id, q.difficulty, scored)
+
+
+def _check_stratum(question_id: str, difficulty: Difficulty | None, scored: bool) -> None:
+    if difficulty is None:
+        raise ConfigError(
+            f"question {question_id} has no difficulty; "
+            "a stratified report needs one on every question"
+        )
+    if not scored:
+        raise ConfigError(f"question {question_id} has no gold answer; cannot stratify")
 
 
 def write_stratified_csv(rows: Sequence[StratumRow], path: str | Path) -> None:

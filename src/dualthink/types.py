@@ -10,6 +10,7 @@ exists (``dataclasses.replace`` builds anew, so it checks too).
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Iterable
@@ -100,8 +101,9 @@ class Question:
         if not self.text.strip():
             raise ConfigError(f"question {self.id}: text must be non-empty")
         labels = self.option_labels
-        if len(set(labels)) != len(labels):
-            raise ConfigError(f"question {self.id}: option labels must be unique")
+        # Replies name a label in any case (parsers._find_label).
+        if len(set(map(str.casefold, labels))) != len(labels):
+            raise ConfigError(f"question {self.id}: option labels must be unique, ignoring case")
         if self.kind is QuestionKind.MCQ and self.gold is not None and self.gold not in labels:
             raise ConfigError(
                 f"question {self.id}: gold label {self.gold!r} is not one of {list(labels)}"
@@ -295,8 +297,8 @@ class PipelineConfig:
                 raise ConfigError(f"{name} must be >= 1, got {value}")
         if self.max_parse_retries < 0:
             raise ConfigError(f"max_parse_retries must be >= 0, got {self.max_parse_retries}")
-        if self.temperature < 0:
-            raise ConfigError(f"temperature must be >= 0, got {self.temperature}")
+        if not 0 <= self.temperature < math.inf:
+            raise ConfigError(f"temperature must be >= 0 and finite, got {self.temperature}")
 
     def to_dict(self) -> dict[str, Any]:
         data = dataclasses.asdict(self)

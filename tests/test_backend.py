@@ -57,6 +57,13 @@ def test_chat_request_validates_inputs():
         ChatRequest(system_text="s", user_text="u", max_tokens=0)
 
 
+@pytest.mark.parametrize("temperature", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_chat_request_rejects_a_temperature_that_is_not_finite(temperature):
+    # Such a request cannot be sent: JSON has no NaN or Infinity.
+    with pytest.raises(ConfigError, match="temperature must be >= 0 and finite"):
+        ChatRequest(system_text="s", user_text="u", temperature=temperature)
+
+
 # --- scripted backend ---------------------------------------------------------
 
 
@@ -176,7 +183,8 @@ def test_retry_delay_of_a_large_attempt_is_the_cap():
 
 
 class _Script(BaseHTTPRequestHandler):
-    responses: list[tuple[int, dict]] = []
+    # (status, payload), or (status, payload, extra headers)
+    responses: list[tuple] = []
     seen: list[dict] = []
 
     def do_POST(self):
@@ -185,9 +193,11 @@ class _Script(BaseHTTPRequestHandler):
         type(self).seen.append(
             {"path": self.path, "auth": self.headers.get("Authorization"), "body": body}
         )
-        status, payload = type(self).responses.pop(0)
+        status, payload, *headers = type(self).responses.pop(0)
         data = json.dumps(payload).encode()
         self.send_response(status)
+        for name, value in (headers[0] if headers else {}).items():
+            self.send_header(name, value)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
         self.end_headers()
@@ -306,11 +316,58 @@ def test_http_retries_429_and_5xx_then_succeeds(http_stub):
     assert len(script.seen) == 3
 
 
+def test_http_waits_as_long_as_retry_after_asks_within_the_cap(http_stub):
+    # Retry-After in seconds lengthens the policy's delay, never shortens it;
+    # an HTTP-date or a malformed value leaves the policy's delay.
+    base, script = http_stub
+    script.responses.extend(
+        [
+            (503, {}, {"Retry-After": "2"}),
+            (429, {}, {"Retry-After": "soon"}),
+            (503, {}, {"Retry-After": "Wed, 21 Oct 2015 07:28:00 GMT"}),
+            (429, {}, {"Retry-After": "1"}),
+            (503, {}, {"Retry-After": "\u00b2"}),
+            (200, _ok_payload("ok")),
+        ]
+    )
+    sleeps = []
+    backend = HttpChatBackend(
+        endpoint=base,
+        model="m1",
+        retry=RetryPolicy(max_attempts=6, backoff_base=0.25, backoff_max=3.0),
+        sleep=sleeps.append,
+    )
+    result = backend.complete(ChatRequest(system_text="s", user_text="u"))
+    assert result.text == "ok"
+    assert sleeps == [2.0, 0.5, 1.0, 2.0, 3.0]
+    assert len(script.seen) == 6
+
+
+def test_http_gives_up_at_once_when_retry_after_exceeds_the_cap(http_stub):
+    base, script = http_stub
+    script.responses.extend([(429, {}, {"Retry-After": "120"}), (200, _ok_payload("ok"))])
+    sleeps = []
+    backend = HttpChatBackend(
+        endpoint=base, model="m1", retry=RetryPolicy(backoff_max=8.0), sleep=sleeps.append
+    )
+    with pytest.raises(BackendExhausted) as info:
+        backend.complete(ChatRequest(system_text="s", user_text="u"))
+    assert "HTTP 429 asked to retry after 120s" in str(info.value)
+    assert sleeps == [] and len(script.seen) == 1
+
+
 def test_retry_and_timeout_values_that_cannot_work_are_rejected():
-    for kwargs in ({"max_attempts": 0}, {"backoff_base": -1.0}, {"backoff_max": -0.5}):
+    # An infinite backoff or timeout cannot be slept or set on a socket.
+    for kwargs in (
+        {"max_attempts": 0},
+        {"backoff_base": -1.0},
+        {"backoff_max": -0.5},
+        {"backoff_base": float("inf")},
+        {"backoff_max": float("inf")},
+    ):
         with pytest.raises(ConfigError):
             RetryPolicy(**kwargs)
-    for timeout in (0, -1.0):
+    for timeout in (0, -1.0, float("inf")):
         with pytest.raises(ConfigError):
             HttpChatBackend(endpoint="http://x", model="m", timeout=timeout)
 

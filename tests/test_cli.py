@@ -126,6 +126,21 @@ def test_ask_bad_option_syntax_is_a_usage_error(capsys):
     assert "LABEL=TEXT" in capsys.readouterr().err
 
 
+def test_ask_options_whose_labels_differ_only_in_case_exit_two(tmp_path, capsys):
+    script = write_script(tmp_path / "s.json", [])
+    argv = ["ask", "Pick.", "--option", "A=yes", "--option", "a=no"]
+    assert main(argv + ["--backend", "scripted", "--script", script]) == 2
+    assert "option labels must be unique, ignoring case" in capsys.readouterr().err
+
+
+def test_ask_temperature_that_is_not_finite_exits_two(tmp_path, capsys):
+    # An HTTP backend could send no call with it; the check comes first.
+    script = write_script(tmp_path / "s.json", [])
+    argv = ["ask", "Hm?", "--temperature", "nan", "--backend", "scripted", "--script", script]
+    assert main(argv) == 2
+    assert "temperature must be >= 0 and finite, got nan" in capsys.readouterr().err
+
+
 def test_ask_parse_failure_exits_one(tmp_path, capsys):
     script = write_script(tmp_path / "s.json", [])
     (tmp_path / "s.json").write_text(json.dumps(["garbage"]), encoding="utf-8")
@@ -255,8 +270,9 @@ def test_bad_config_values_and_unknown_keys_exit_two(tmp_path, capsys, config_te
     [
         ("max_attempts = 0\n", [], "max_attempts must be >= 1"),
         ("", ["--timeout", "0"], "timeout must be > 0"),
+        ("", ["--timeout", "inf"], "timeout must be > 0 seconds and finite, got inf"),
     ],
-    ids=["max-attempts-0", "timeout-0"],
+    ids=["max-attempts-0", "timeout-0", "timeout-inf"],
 )
 def test_retry_and_timeout_values_that_cannot_work_exit_two(
     tmp_path, capsys, setting, flags, named
@@ -433,6 +449,29 @@ def test_bench_stratified_prints_the_table_and_csv(tmp_path, capsys):
     csv_text = (out / "stratified.csv").read_text(encoding="utf-8")
     assert "Easy,System 1,1,1,50.0" in csv_text
     assert "Very Hard,System 1,1,0,100.0" in csv_text
+
+
+@pytest.mark.parametrize(
+    "missing, message",
+    [
+        ("difficulty", "question q02 has no difficulty"),
+        ("answer", "question q02 has no gold answer"),
+    ],
+)
+def test_bench_stratified_checks_every_question_before_any_call(
+    tmp_path, capsys, missing, message
+):
+    rows = mcq_rows(3, difficulty="Easy")
+    del rows[1][missing]
+    dataset = write_dataset(tmp_path / "data.jsonl", rows)
+    script = write_script(tmp_path / "s.json", [])
+    out = tmp_path / "run"
+    argv = ["bench", "--dataset", dataset, "--preset", "System 1", "--backend", "scripted"]
+    argv += ["--script", script, "--out", str(out), "--stratified"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == "" and not out.exists()
 
 
 def test_bench_without_dataset_exits_two(capsys):

@@ -90,6 +90,15 @@ def test_bad_records_are_rejected(tmp_path, record):
         load_dataset(path)
 
 
+def test_option_labels_that_differ_only_in_case_name_their_line(tmp_path):
+    good = {"id": "q1", "question": "x?", "options": {"A": "1", "B": "2"}, "answer": "A"}
+    bad = {"id": "q2", "question": "y?", "options": {"A": "1", "a": "2"}, "answer": "a"}
+    path = _write(tmp_path, [json.dumps(good), json.dumps(bad)])
+    with pytest.raises(FormatError) as info:
+        load_dataset(path)
+    assert "line 2" in str(info.value) and "ignoring case" in str(info.value)
+
+
 def test_kind_constraint_is_enforced(tmp_path):
     mcq_line = json.dumps(
         {"id": "q", "question": "x?", "options": {"A": "1", "B": "2"}, "answer": "A"}

@@ -113,19 +113,29 @@ def test_build_rejects_bad_input():
         BM25Index.build([Doc("d1", "x")], b=1.5)
 
 
+@pytest.mark.parametrize("k1", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_build_rejects_a_k1_that_is_not_finite(k1):
+    # Either scores every document nan or zero, so search would return nothing.
+    with pytest.raises(ConfigError, match="bad BM25 parameters"):
+        BM25Index.build([Doc("d1", "x")], k1=k1)
+
+
 def _brute_force(docs, query, k1=1.2, b=0.75):
     token_lists = {d.doc_id: tokenize(d.text) for d in docs}
     n = len(docs)
     avgdl = sum(len(t) for t in token_lists.values()) / n
+    dfs = {
+        term: sum(1 for t in token_lists.values() if term in t)
+        for term in dict.fromkeys(tokenize(query))
+    }
     scores = {}
     for doc in docs:
         tokens = Counter(token_lists[doc.doc_id])
         total = 0.0
-        for term in dict.fromkeys(tokenize(query)):
+        for term, df in dfs.items():
             tf = tokens.get(term, 0)
             if tf == 0:
                 continue
-            df = sum(1 for t in token_lists.values() if term in t)
             idf = math.log((n - df + 0.5) / (df + 0.5) + 1)
             dl = len(token_lists[doc.doc_id])
             total += idf * tf * (k1 + 1) / (tf + k1 * (1 - b + b * dl / avgdl))
@@ -271,6 +281,9 @@ def _add_term(term, df):
         pytest.param(_set(("doc_lengths",), [2, 2]), id="short-doc-lengths"),
         pytest.param(_set(("doc_lengths",), [2, 2, 0]), id="zero-doc-length"),
         pytest.param(_set(("b",), 1.5), id="b-above-one"),
+        pytest.param(_set(("k1",), float("nan")), id="nan-k1"),
+        pytest.param(_set(("k1",), float("inf")), id="infinite-k1"),
+        pytest.param(_set(("avgdl",), float("inf")), id="infinite-avgdl"),
         pytest.param(_set(("avgdl",), 0), id="zero-avgdl"),
         pytest.param(_set(("ids",), "AAAA!AAA"), id="invalid-base64"),
         pytest.param(_set(("ids",), base64.b64encode(bytes(23)).decode()), id="ids-not-int32"),
@@ -380,10 +393,12 @@ def test_postings_are_ascending_doc_indices_whose_length_is_the_df(tmp_path):
         assert len(index.postings.get("absent", ())) == 0
 
 
-def test_postings_columns_take_under_16_bytes_per_posting(tmp_path):
-    # Two int32 columns cost 8 bytes a posting plus about 160 bytes of array
-    # headers a term; a list of (idx, tf) tuples costs about 64 a posting. The
-    # corpus has about 30 postings a term, as the 10k-doc benchmark corpus has.
+def test_postings_columns_take_under_10_bytes_per_posting(tmp_path):
+    # Doc indices below 65,536 in "H" and tfs below 256 in "B" cost 3 bytes a
+    # posting plus about 160 bytes of array headers a term; two int32 columns
+    # cost 8 (14.8 bytes a posting here, headers included), and a list of
+    # (idx, tf) tuples about 64. The corpus has about 30 postings a term, as
+    # the 10k-doc benchmark corpus has.
     docs = _zipf_docs(12, 2000, 2000)
     built = BM25Index.build(docs)
     path = tmp_path / "index.json"
@@ -393,7 +408,8 @@ def test_postings_columns_take_under_16_bytes_per_posting(tmp_path):
         assert n_postings / len(index.postings) > 20
         size = sum(sys.getsizeof(c) for c in index.postings.values())
         size += sum(sys.getsizeof(c) for c in index.tfs.values())
-        assert size / n_postings < 16
+        assert size / n_postings < 10
+    assert not hasattr(docs[0], "__dict__")
 
 
 def test_load_corpus_jsonl(tmp_path):
@@ -425,12 +441,12 @@ def test_load_corpus_rejects_malformed_lines(tmp_path):
 
 def _one_dump_snapshot_text(index):
     """The reference snapshot text: the whole snapshot built as one dict, each
-    column flat and as base64, walked by one json.dump."""
+    column flat and as base64 of int32, walked by one json.dump."""
 
     def encode(columns):
         flat = array("i")
         for column in columns:
-            flat += column
+            flat += array("i", column)
         if sys.byteorder == "big":
             flat.byteswap()
         return base64.b64encode(flat).decode("ascii")
@@ -473,6 +489,62 @@ def test_snapshot_written_in_pieces_is_byte_identical_to_one_json_dump(tmp_path,
     assert sum(map(len, index.postings.values())) > 3 * retrieval._PIECE
     index.save(path)
     assert path.read_bytes() == _one_dump_snapshot_text(index).encode("utf-8")
+
+
+def _narrow_case(n_docs, tfs):
+    """``n_docs`` documents, short but for one extra document per entry of
+    ``tfs`` that repeats "heavy" that many times, placed after the first
+    hundred so that the tf columns built before it must widen."""
+    docs = [
+        Doc(f"d{i}", f"w{i % 97} u{i % 13} v{i // 1000} common") for i in range(n_docs)
+    ]
+    for j, tf in enumerate(tfs):
+        docs.insert(100 + j, Doc(f"heavy{j}", "heavy " * tf + f"w{j} common"))
+    return docs
+
+
+@pytest.mark.parametrize(
+    "n_docs, tfs, ids_code, tfs_code",
+    [
+        (256, (), "B", "B"),
+        (257, (), "H", "B"),
+        (65_537, (), "i", "B"),
+        (300, (255,), "H", "B"),
+        (300, (256,), "H", "H"),
+        (300, (300, 65_535), "H", "H"),
+        (300, (300, 65_536), "H", "i"),
+        (300, (70_000,), "H", "i"),
+    ],
+    ids=[
+        "256-docs", "257-docs", "65537-docs", "tf-255",
+        "tf-256", "tf-65535", "tf-65536-after-256", "tf-70000",
+    ],
+)
+def test_columns_take_the_narrowest_type_code_and_score_and_save_as_int32(
+    tmp_path, n_docs, tfs, ids_code, tfs_code
+):
+    # The largest doc index is len(docs) - 1 and the largest tf the largest of
+    # tfs (or 1): each side of 255 and 65,535 picks its own type code, search
+    # equals the brute-force scorer, and the snapshot is the int32 file the
+    # one-dump reference writes, whatever the columns are held in.
+    docs = _narrow_case(n_docs - len(tfs), tfs)
+    assert len(docs) == n_docs
+    built = BM25Index.build(docs)
+    path = tmp_path / "index.json"
+    built.save(path)
+    assert path.read_bytes() == _one_dump_snapshot_text(built).encode("utf-8")
+    loaded = BM25Index.load(path)
+    last = f"v{(len(docs) - len(tfs) - 1) // 1000}"
+    for index in (built, loaded):
+        assert {c.typecode for c in index.postings.values()} == {ids_code}
+        assert {c.typecode for c in index.tfs.values()} == {tfs_code}
+        assert max(map(max, index.postings.values())) == n_docs - 1
+        assert max(map(max, index.tfs.values())) == max(tfs, default=1)
+    for query in (f"{last} u3 common", "heavy w1 v0"):
+        expected = _brute_force(docs, query)
+        ranked = sorted(expected.items(), key=lambda kv: (-kv[1], kv[0]))[:10]
+        for index in (built, loaded):
+            assert [(h.doc_id, h.score) for h in index.search(query, 10)] == ranked, query
 
 
 def _traced_peak(fn, *args):

@@ -39,6 +39,15 @@ def test_question_validation_rejects_bad_gold_and_dup_labels():
         Question(id="q", text="   ")
 
 
+def test_option_labels_that_differ_only_in_case_are_rejected():
+    # A reply names a label in any case, so the second of "A" and "a" could
+    # never be chosen, nor its gold scored.
+    for labels in (("A", "a"), ("ß", "SS"), ("Yes", "no", "YES")):
+        options = tuple((label, f"text {i}") for i, label in enumerate(labels))
+        with pytest.raises(ConfigError, match="option labels must be unique, ignoring case"):
+            Question(id="q", text="t", options=options, gold=labels[-1])
+
+
 def test_difficulty_from_label_is_forgiving():
     assert Difficulty.from_label("very easy") is Difficulty.VERY_EASY
     assert Difficulty.from_label("Very_Hard") is Difficulty.VERY_HARD
@@ -121,6 +130,13 @@ def test_numeric_bounds_are_checked():
     ):
         with pytest.raises(ConfigError):
             PipelineConfig(**kwargs)
+
+
+@pytest.mark.parametrize("temperature", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_temperature_that_is_not_finite_is_rejected(temperature):
+    # Over HTTP every call with it would fail: JSON has no NaN or Infinity.
+    with pytest.raises(ConfigError, match="temperature must be >= 0 and finite"):
+        PipelineConfig(temperature=temperature)
 
 
 def test_replace_checks_the_same_invariants():
