@@ -98,11 +98,12 @@ class RetryPolicy:
 class HttpChatBackend:
     """Client for an OpenAI-style ``POST {endpoint}/chat/completions`` API.
 
-    Retries transport errors, 429, and 5xx responses per the retry policy;
-    other 4xx responses fail immediately. A retried response's
-    ``Retry-After`` in seconds lengthens the policy's delay up to
-    ``retry.backoff_max``; a longer one gives up at once. The API key is
-    read from an environment variable, never from config files, and sent as
+    Retries transport errors, 429, and 5xx responses per the retry policy,
+    logging one warning for each such failed attempt; other 4xx responses fail
+    immediately. An HTTP error reads ``HTTP <status>: <body>``. A retried
+    response's ``Retry-After`` in seconds lengthens the policy's delay up to
+    ``retry.backoff_max``; a longer one gives up at once. The API key is read
+    from an environment variable, never from config files, and sent as
     ``auth``; a ``~/.netrc`` entry applies only when no key is set. A call
     takes one of the backend's idle ``requests.Session`` objects, or builds
     one, and puts it back once it has a reply (a call that fails drops it):
@@ -179,50 +180,39 @@ class HttpChatBackend:
             "max_tokens": request.max_tokens,
         }
         session = self._take_session()
-        last_error: Exception | None = None
-        for attempt in range(1, self.retry.max_attempts + 1):
+        attempts = self.retry.max_attempts
+        for attempt in range(1, attempts + 1):
             wait = 0.0
             try:
                 response = session.post(
                     self._url, json=payload, auth=self._auth(), timeout=self.timeout,
                     **self._settings,
                 )
-            except requests.Timeout as exc:
-                last_error = BackendTimeout(f"request timed out after {self.timeout}s")
-                logger.warning("attempt %d/%d: %s", attempt, self.retry.max_attempts, exc)
+            except requests.Timeout:
+                error: BackendError = BackendTimeout(f"request timed out after {self.timeout}s")
             except requests.RequestException as exc:
-                last_error = BackendError(f"transport error: {exc}")
-                logger.warning("attempt %d/%d: %s", attempt, self.retry.max_attempts, exc)
+                error = BackendError(f"transport error: {exc}")
             else:
-                if response.status_code == 429 or response.status_code >= 500:
-                    last_error = BackendHTTPError(
-                        response.status_code, _body_snippet(response)
-                    )
-                    logger.warning(
-                        "attempt %d/%d: HTTP %d",
-                        attempt,
-                        self.retry.max_attempts,
-                        response.status_code,
-                    )
-                    wait = _retry_after(response)
-                    if wait > self.retry.backoff_max:
-                        raise BackendExhausted(
-                            f"HTTP {response.status_code} asked to retry after {wait:g}s, "
-                            f"more than the {self.retry.backoff_max:g}s backoff cap"
-                        )
-                elif response.status_code >= 400:
-                    raise BackendHTTPError(response.status_code, _body_snippet(response))
-                else:
+                status = response.status_code
+                if status < 400:
                     if session is not self._session:
                         self._idle.append(session)
                     return self._parse_response(request, response)
-            if attempt < self.retry.max_attempts:
+                error = _http_error(response)
+                if status != 429 and status < 500:
+                    raise error
+                wait = _retry_after(response)
+                if wait > self.retry.backoff_max:
+                    raise BackendExhausted(
+                        f"HTTP {status} asked to retry after {wait:g}s, "
+                        f"more than the {self.retry.backoff_max:g}s backoff cap"
+                    )
+            logger.warning("attempt %d/%d: %s", attempt, attempts, error)
+            if attempt < attempts:
                 self._sleep(max(self.retry.delay(attempt), wait))
-        if isinstance(last_error, BackendTimeout):
-            raise last_error
-        raise BackendExhausted(
-            f"gave up after {self.retry.max_attempts} attempts: {last_error}"
-        )
+        if isinstance(error, BackendTimeout):
+            raise error
+        raise BackendExhausted(f"gave up after {attempts} attempts: {error}")
 
     def _parse_response(self, request: ChatRequest, response: requests.Response) -> Completion:
         try:
@@ -275,11 +265,15 @@ def _retry_after(response: requests.Response) -> float:
     return float(value) if value.isascii() and value.isdigit() else 0.0
 
 
-def _body_snippet(response: requests.Response, limit: int = 200) -> str:
+def _http_error(response: requests.Response, limit: int = 200) -> BackendHTTPError:
+    """The response's error: its status, then the first ``limit`` characters
+    of its body."""
     try:
-        return response.text[:limit]
+        body = response.text[:limit]
     except Exception:
-        return ""
+        body = ""
+    status = response.status_code
+    return BackendHTTPError(status, f"HTTP {status}: {body}" if body else "")
 
 
 @dataclass(frozen=True)
@@ -307,9 +301,8 @@ class ScriptedBackend:
     ``ordered``.
     """
 
-    def __init__(self, entries: Iterable[ScriptEntry], model_id: str = "scripted"):
+    def __init__(self, entries: Iterable[ScriptEntry]):
         self._left = list(entries)
-        self.model_id = model_id
         self.calls: list[ChatRequest] = []
         self._lock = threading.Lock()
 
@@ -329,9 +322,7 @@ class ScriptedBackend:
             estimate_tokens(request.system_text) + estimate_tokens(request.user_text),
             estimate_tokens(entry.completion),
         )
-        return Completion(
-            entry.completion, usage, self.model_id, usage_estimated=entry.usage is None
-        )
+        return Completion(entry.completion, usage, "scripted", entry.usage is None)
 
     @property
     def ordered(self) -> bool:

@@ -8,7 +8,7 @@ flag, and the commands that read it. A flag beats the config file; a
 setting given by neither is left out, so the callee's own default applies.
 
 Exit codes: 0 success, 1 a question failed at runtime, 2 bad usage or
-configuration.
+configuration, or a file that cannot be read or written.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     try:
         return args.handler(args, _settings(args))
-    except DualThinkError as exc:
+    except (DualThinkError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _RUNTIME_EXIT if isinstance(exc, (ParseError, BackendError)) else _USAGE_EXIT
 
@@ -193,7 +193,7 @@ def _read_config(path: str | None) -> dict[tuple[str, str], Any]:
                     raise ConfigError(f"{path}: unknown setting [{section}] {key}")
                 if text:
                     values[section, key] = _convert(kinds[section, key], text, f"[{section}] {key}")
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return values
 

@@ -6,7 +6,8 @@ Multiple-choice records look like::
      "answer": "B", "difficulty": "Hard"}
 
 Open-ended records replace "options"/"answer" with either "answer" (one
-string) or "answers" (list of acceptable strings). Malformed lines raise
+string) or "answers" (list of acceptable strings). A missing, null or empty
+"id" becomes "q" and the 4-digit line number; any other id is ``str(id)``. Malformed lines raise
 FormatError carrying the 1-based line number; :func:`read_jsonl` reads them,
 and the retrieval corpus, a line at a time.
 """
@@ -73,7 +74,8 @@ def _parse_record(record: dict[str, Any], lineno: int, kind: str) -> Question:
     text = record.get("question")
     if not isinstance(text, str) or not text.strip():
         raise FormatError("missing or empty 'question' field", line=lineno)
-    qid = str(record.get("id") or f"q{lineno:04d}")
+    raw_id = record.get("id")
+    qid = f"q{lineno:04d}" if raw_id in (None, "") else str(raw_id)
 
     options_raw = record.get("options")
     has_options = bool(options_raw)
@@ -98,12 +100,7 @@ def _parse_record(record: dict[str, Any], lineno: int, kind: str) -> Question:
             (str(label), str(option_text)) for label, option_text in options_raw.items()
         )
         if record.get("answer") is not None:
-            gold = str(record["answer"])
-            if gold not in dict(options):
-                raise FormatError(
-                    f"'answer' {gold!r} is not an option label", line=lineno
-                )
-            aliases = [gold]
+            aliases = [str(record["answer"])]
     elif "answers" in record:
         raw = record["answers"]
         if not isinstance(raw, list) or not all(isinstance(a, str) for a in raw):

@@ -41,6 +41,7 @@ the index, and widens each piece to int32 whatever the columns' type code;
 from __future__ import annotations
 
 import base64
+import contextlib
 import heapq
 import json
 import math
@@ -295,7 +296,9 @@ class BM25Index:
         except OSError as exc:
             raise IngestError(f"cannot write index {path}: {exc}") from exc
         finally:
-            tmp.unlink(missing_ok=True)
+            # A failed removal must not replace the error that left the file.
+            with contextlib.suppress(OSError):
+                tmp.unlink()
 
     @classmethod
     def load(cls, path: str | Path) -> "BM25Index":

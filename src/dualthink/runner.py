@@ -17,6 +17,7 @@ were in flight.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import io
@@ -389,7 +390,8 @@ def write_atomic(path: Path, text: str) -> None:
         tmp.write_text(text, encoding="utf-8", newline="")
         os.replace(tmp, path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        with contextlib.suppress(OSError):  # keep the write's own error
+            tmp.unlink()
         raise
 
 

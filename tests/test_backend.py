@@ -356,6 +356,25 @@ def test_http_gives_up_at_once_when_retry_after_exceeds_the_cap(http_stub):
     assert sleeps == [] and len(script.seen) == 1
 
 
+def test_http_logs_one_warning_per_failed_attempt(http_stub, caplog):
+    base, script = http_stub
+    script.responses.extend([(503, {"error": "busy"}), (200, _ok_payload("ok"))])
+    backend = HttpChatBackend(endpoint=base, model="m1", sleep=lambda s: None)
+    request = ChatRequest(system_text="s", user_text="u")
+    with caplog.at_level("WARNING", logger="dualthink.backend"):
+        assert backend.complete(request).text == "ok"
+    messages = [r.getMessage() for r in caplog.records]
+    assert len(messages) == 1
+    assert messages[0].startswith("attempt 1/3: HTTP 503")
+
+    caplog.clear()
+    script.responses.append((400, {"error": "bad request"}))
+    with caplog.at_level("WARNING", logger="dualthink.backend"):
+        with pytest.raises(BackendHTTPError):
+            backend.complete(request)
+    assert caplog.records == []
+
+
 def test_retry_and_timeout_values_that_cannot_work_are_rejected():
     # An infinite backoff or timeout cannot be slept or set on a socket.
     for kwargs in (

@@ -238,6 +238,15 @@ def test_missing_config_file_exits_two(capsys):
     assert "config file not found" in capsys.readouterr().err
 
 
+def test_config_file_that_is_not_utf8_exits_two(tmp_path, capsys):
+    config_path = tmp_path / "latin1.ini"
+    config_path.write_bytes("[run]\nname = caf\xe9\n".encode("latin-1"))
+    assert main(["--config", str(config_path), "ask", "Hm?"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read config {config_path}:")
+    assert "utf-8" in err
+
+
 def ask_with_config(tmp_path, config_text, *flags, backend="scripted"):
     question = Question(id="cli", text="Which gas dominates air?")
     script = write_script(tmp_path / "s.json", entries_for(question, S1_ONLY, "nitrogen"))
@@ -647,6 +656,32 @@ def test_index_build_from_a_corpus_that_is_not_utf8_exits_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: corpus {corpus} line 1: {corpus} is not UTF-8")
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("ask", ["--trace", "F/t.json"]),
+        ("bench", ["--out", "F/run"]),
+        ("ablate", ["--presets", "System 1", "--out", "F/run"]),
+    ],
+    ids=["ask-trace", "bench-out", "ablate-out"],
+)
+def test_an_output_path_under_a_regular_file_exits_two(tmp_path, capsys, command, flags):
+    rows = mcq_rows(1)
+    dataset = write_dataset(tmp_path / "data.jsonl", rows)
+    question = Question(id="cli", text=rows[0]["question"])
+    script = write_script(tmp_path / "s.json", entries_for(question, S1_ONLY, "first"))
+    (tmp_path / "F").write_text("", encoding="utf-8")
+    flags = [str(tmp_path / flag) if flag.startswith("F/") else flag for flag in flags]
+    argv = [command, *([question.text] if command == "ask" else ["--dataset", dataset])]
+    argv += ["--backend", "scripted", "--script", script, *flags]
+    if command != "ablate":
+        argv += ["--preset", "System 1"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(tmp_path / "F") in err
+    assert "Traceback" not in err
 
 
 # --- trace show ----------------------------------------------------------------------

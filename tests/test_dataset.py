@@ -90,6 +90,20 @@ def test_bad_records_are_rejected(tmp_path, record):
         load_dataset(path)
 
 
+def test_only_a_missing_null_or_empty_id_takes_the_line_number(tmp_path):
+    lines = [
+        json.dumps({"id": 0, "question": "zero?"}),
+        json.dumps({"id": 1, "question": "one?"}),
+        json.dumps({"question": "missing?"}),
+        json.dumps({"id": None, "question": "null?"}),
+        json.dumps({"id": "", "question": "empty?"}),
+        json.dumps({"id": False, "question": "false?"}),
+    ]
+    path = _write(tmp_path, lines)
+    ids = [q.id for q in load_dataset(path)]
+    assert ids == ["0", "1", "q0003", "q0004", "q0005", "False"]
+
+
 def test_option_labels_that_differ_only_in_case_name_their_line(tmp_path):
     good = {"id": "q1", "question": "x?", "options": {"A": "1", "B": "2"}, "answer": "A"}
     bad = {"id": "q2", "question": "y?", "options": {"A": "1", "a": "2"}, "answer": "a"}

@@ -327,6 +327,17 @@ def test_save_that_fails_partway_keeps_the_old_snapshot(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["index.json"]
 
 
+def test_save_under_a_regular_file_raises_the_write_error(tmp_path):
+    # The temp file's removal fails too (NotADirectoryError, which
+    # missing_ok does not cover); that must not replace the write's error.
+    blocker = tmp_path / "F"
+    blocker.write_text("", encoding="utf-8")
+    path = blocker / "index.json"
+    with pytest.raises(IngestError) as info:
+        BM25Index.build([Doc("d0", "apple pear")]).save(path)
+    assert f"cannot write index {path}" in str(info.value)
+
+
 def _zipf_docs(seed, n_docs, vocabulary):
     rng = random.Random(seed)
     words = [f"w{i}" for i in range(vocabulary)]
