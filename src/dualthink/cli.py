@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from .backend import HttpChatBackend, LLMBackend, RetryPolicy, ScriptedBackend
-from .dataset import DATASET_KINDS, load_dataset
+from .dataset import DATASET_KINDS, load_dataset, write_atomic
 from .engine import Engine
 from .errors import BackendError, ConfigError, DualThinkError, ParseError
 from .presets import DUAL_PRESET_NAME, ablation_presets, preset, preset_names
@@ -37,7 +37,6 @@ from .runner import (
     stratified_trigger_report,
     write_ablation_csv,
     write_accuracy_vs_tokens_csv,
-    write_atomic,
     write_stratified_csv,
 )
 from .types import PipelineConfig, Question
@@ -267,6 +266,8 @@ def _run_options(settings: Settings) -> dict[str, Any]:
 
 
 def _cmd_ask(args: argparse.Namespace, settings: Settings) -> int:
+    if args.trace and not Path(args.trace).parent.is_dir():
+        raise DualThinkError(f"cannot write trace {args.trace}: no such directory")
     options = []
     for item in args.option:
         label, sep, text = item.partition("=")

@@ -8,16 +8,18 @@ Multiple-choice records look like::
 Open-ended records replace "options"/"answer" with either "answer" (one
 string) or "answers" (list of acceptable strings). A missing, null or empty
 "id" becomes "q" and the 4-digit line number; any other id is ``str(id)``. Malformed lines raise
-FormatError carrying the 1-based line number; :func:`read_jsonl` reads them,
-and the retrieval corpus, a line at a time.
+FormatError carrying the 1-based line number. :func:`read_jsonl` reads every
+JSONL file a line at a time; :func:`write_atomic` writes every whole file.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 import random
 from pathlib import Path
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from .errors import ConfigError, FormatError
 from .types import Difficulty, Question
@@ -68,6 +70,22 @@ def read_jsonl(
             except ValueError as exc:
                 raise error(f"invalid JSON ({exc})", lineno) from exc
             yield lineno, record
+
+
+def write_atomic(path: Path, text: str | Iterable[str]) -> None:
+    """Write ``text``, one string or its pieces in order, to a sibling temp
+    file, then rename it over ``path``, so a crash leaves the old file or the
+    new one, never half of one. The temp name ends in ``.tmp``, never
+    ``.json``. Nothing is fsynced: a power loss can still tear the file."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with tmp.open("w", encoding="utf-8", newline="") as handle:
+            handle.writelines([text] if isinstance(text, str) else text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):  # keep the write's own error
+            tmp.unlink()
+        raise
 
 
 def _parse_record(record: dict[str, Any], lineno: int, kind: str) -> Question:

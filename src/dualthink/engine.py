@@ -37,7 +37,7 @@ import logging
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import ExitStack
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, is_dataclass, replace
 from typing import Any, Callable
 
 from .backend import ChatRequest, LLMBackend
@@ -143,13 +143,12 @@ class _Stage:
     ``parse`` returns the value for the one name in ``fields``, or a tuple
     with one value per name when there are several; each is stored on the
     :class:`_Run` under its name. The trace step's ``parsed`` is the value's
-    own fields when ``flat``, else a dict from each name to its value.
+    own fields when it is a dataclass, else a dict from each name to its value.
     """
 
     values: Callable[[_Run], dict[str, str]]
     parse: Callable[[str, _Run], Any]
     fields: tuple[str, ...]
-    flat: bool = False
 
 
 def _parse_quick(raw: str, run: _Run) -> QuickAnswer:
@@ -244,7 +243,6 @@ _STAGES: dict[Agent, _Stage] = {
         },
         parse=_parse_quick,
         fields=("quick",),
-        flat=True,
     ),
     Agent.REFLECTION: _Stage(
         values=lambda run: {
@@ -253,13 +251,11 @@ _STAGES: dict[Agent, _Stage] = {
         },
         parse=lambda raw, run: parse_reflection(raw, [step.index for step in run.quick.steps]),
         fields=("reflection",),
-        flat=True,
     ),
     Agent.PLANNING: _Stage(
         values=_planning_values,
         parse=lambda raw, run: parse_plan(raw, run.config.max_subquestions),
         fields=("plan",),
-        flat=True,
     ),
     Agent.SEARCH: _Stage(
         values=lambda run: {"question": run.question.text, "subquestions": _listing(run.plan)},
@@ -287,7 +283,6 @@ _STAGES: dict[Agent, _Stage] = {
         values=_decision_values,
         parse=lambda raw, run: parse_decision(raw, run.hypotheses, run.question.option_labels),
         fields=("decision",),
-        flat=True,
     ),
 }
 
@@ -453,7 +448,7 @@ class Engine:
                 failure = exc
             else:
                 outputs = value if len(stage.fields) > 1 else (value,)
-                if stage.flat:
+                if is_dataclass(value):
                     parsed = to_jsonable(value)
                 else:
                     parsed = {name: to_jsonable(v) for name, v in zip(stage.fields, outputs)}

@@ -32,21 +32,19 @@ index's largest value of its kind (``B``, ``H``, else ``i``): 3 bytes a posting
 on a corpus of up to 65,536 documents whose term frequencies stay below 256,
 where two ``array('i')`` take 8 and an ``(idx, tf)`` tuple in a list about 64.
 
-``save`` writes the snapshot a bounded piece at a time, byte for byte the
-text one ``json.dump`` of it would give, so that saving holds little beyond
-the index, and widens each piece to int32 whatever the columns' type code;
-``load_corpus`` reads its JSONL a line at a time.
+``save`` streams the snapshot a bounded piece at a time into
+``dataset.write_atomic``, byte for byte the text one ``json.dump`` of it would
+give, so saving holds little beyond the index, and widens each piece to int32
+whatever the columns' type code; ``load_corpus`` reads a line at a time.
 """
 
 from __future__ import annotations
 
 import base64
-import contextlib
 import heapq
 import json
 import math
 import operator
-import os
 import re
 import sys
 from array import array
@@ -57,7 +55,7 @@ from itertools import accumulate, compress, count, islice
 from pathlib import Path
 from typing import Iterable, Iterator, Protocol
 
-from .dataset import read_jsonl
+from .dataset import read_jsonl, write_atomic
 from .errors import ConfigError, IngestError
 from .types import RetrievedDoc
 
@@ -264,9 +262,8 @@ class BM25Index:
         and tfs concatenated in that order, as base64 of little-endian int32,
         whatever type code the columns are held in.
 
-        The snapshot is streamed to a sibling ``.tmp`` file and renamed over
-        ``path``, so a process that dies mid-write leaves the old snapshot or
-        the new one. Nothing is fsynced: a power loss can still tear it.
+        The snapshot is streamed through :func:`~dualthink.dataset.write_atomic`,
+        so a process that dies mid-write leaves the old snapshot or the new one.
         """
         path = Path(path)
         terms = list(self.postings)
@@ -279,26 +276,21 @@ class BM25Index:
             "ids": _base64_column(self.postings[t] for t in terms),
             "tfs": _base64_column(self.tfs[t] for t in terms),
         }
-        tmp = path.with_name(path.name + ".tmp")
+        # Byte for byte the text one json.dump of the whole snapshot gives, a
+        # bounded piece at a time: the whole snapshot as one dict, with each
+        # column flat and in base64, holds 1.3 to 1.75 times the file, and
+        # json.dumps holds about 70 bytes a list element until it returns.
+        def text() -> Iterator[str]:
+            yield json.dumps(header)[:-1]
+            for key, pieces in fields.items():
+                yield f', "{key}": '
+                yield from pieces
+            yield "}"
+
         try:
-            with tmp.open("w", encoding="utf-8") as handle:
-                # Byte for byte the text one json.dump of the whole snapshot
-                # gives, a bounded piece at a time: the whole snapshot as one
-                # dict, with each column flat and in base64, holds 1.3 to 1.75
-                # times the file, and json.dumps holds about 70 bytes a list
-                # element until it returns.
-                handle.write(json.dumps(header)[:-1])
-                for key, pieces in fields.items():
-                    handle.write(f', "{key}": ')
-                    handle.writelines(pieces)
-                handle.write("}")
-            os.replace(tmp, path)
+            write_atomic(path, text())
         except OSError as exc:
             raise IngestError(f"cannot write index {path}: {exc}") from exc
-        finally:
-            # A failed removal must not replace the error that left the file.
-            with contextlib.suppress(OSError):
-                tmp.unlink()
 
     @classmethod
     def load(cls, path: str | Path) -> "BM25Index":

@@ -7,17 +7,16 @@ the full reasoning trace per question, and ``report.json``/``report.csv``
 are rewritten at the end. Rerunning skips questions already present in
 ``results.jsonl``; a torn last line, left by a crash mid-append, is dropped
 and its question answered again. Every other file is written whole or not
-at all (see :func:`write_atomic`). That covers a process crash, not power
-loss: nothing is synced to disk. A run and a sweep share one loop: each
-question goes through all of its configurations before the next starts, so
-a sweep's presets replay a question's identical temperature-0 stages from
-one engine memo, and a resumed sweep re-bills at most the questions that
-were in flight.
+at all (see :func:`~dualthink.dataset.write_atomic`). That covers a process
+crash, not power loss: nothing is synced to disk. A run and a sweep share
+one loop: each question goes through all of its configurations before the
+next starts, so a sweep's presets replay a question's identical
+temperature-0 stages from one engine memo, and a resumed sweep re-bills at
+most the questions that were in flight.
 """
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import hashlib
 import io
@@ -29,10 +28,12 @@ import urllib.parse
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from enum import Enum
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
 from .backend import LLMBackend
+from .dataset import read_jsonl, write_atomic
 from .engine import Engine, check_retriever
 from .errors import BackendError, ConfigError, FormatError, ParseError
 from .metrics import exact_match, f1
@@ -321,7 +322,7 @@ def _repeated(keys: Iterable[str]) -> list[str]:
     return sorted(key for key, count in Counter(keys).items() if count > 1)
 
 
-#: Longest trace file name, so that ``write_atomic``'s ``<name>.tmp`` fits in 255 bytes.
+#: Longest trace file name, so that ``dataset.write_atomic``'s ``<name>.tmp`` fits in 255 bytes.
 _MAX_NAME = 251
 
 
@@ -350,15 +351,16 @@ def _load_results(path: Path) -> dict[str, QuestionResult]:
         keep = data.rfind(b"\n") + 1
         logger.warning("%s: dropping a torn last line (%d bytes)", path, len(data) - keep)
         os.truncate(path, keep)
-        data = data[:keep]
+
+    def error(message: str, lineno: int) -> FormatError:
+        return FormatError(f"{path}: malformed result ({message})", line=lineno)
+
     results = {}
-    for lineno, line in enumerate(data.split(b"\n"), start=1):
-        if not line.strip():
-            continue
+    for lineno, record in read_jsonl(path, error):
         try:
-            result = QuestionResult.from_dict(json.loads(line))
+            result = QuestionResult.from_dict(record)
         except (ValueError, KeyError, TypeError) as exc:
-            raise FormatError(f"{path}: malformed result ({exc!r})", line=lineno) from exc
+            raise error(repr(exc), lineno) from exc
         results[result.question_id] = result
     if results:
         logger.info("%s: resuming, %d results already on disk", path, len(results))
@@ -381,26 +383,21 @@ def _check_config_snapshot(path: Path, config: PipelineConfig) -> None:
         write_atomic(path, json.dumps(snapshot, indent=2))
 
 
-def write_atomic(path: Path, text: str) -> None:
-    """Write ``text`` to a sibling temp file, then rename it over ``path``, so
-    a crash leaves the old file or the new one, never half of one. The temp
-    name ends in ``.tmp``, never ``.json``."""
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        tmp.write_text(text, encoding="utf-8", newline="")
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):  # keep the write's own error
-            tmp.unlink()
-        raise
-
-
 def _write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
     buffer = io.StringIO(newline="")
     writer = csv.writer(buffer)
     writer.writerow(header)
-    writer.writerows(rows)
+    writer.writerows(map(_cell, row) for row in rows)
     write_atomic(Path(path), buffer.getvalue())
+
+
+def _cell(value: Any) -> Any:
+    """None is empty, a bool ``true`` or ``false``, an enum its value."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, Enum):
+        return value.value
+    return "" if value is None else value
 
 
 def write_report(report: Report, out_dir: Path) -> None:
@@ -413,18 +410,9 @@ def write_report(report: Report, out_dir: Path) -> None:
         ).split(),
         (
             [
-                r.question_id,
-                r.kind.value,
-                r.predicted if r.predicted is not None else "",
-                r.gold if r.gold is not None else "",
-                "" if r.correct is None else str(r.correct).lower(),
-                "" if r.em is None else r.em,
-                "" if r.f1 is None else r.f1,
-                str(r.system2_triggered).lower(),
-                r.usage.prompt_tokens,
-                r.usage.completion_tokens,
-                r.difficulty.value if r.difficulty else "",
-                r.error or "",
+                r.question_id, r.kind, r.predicted, r.gold, r.correct, r.em, r.f1,
+                r.system2_triggered, r.usage.prompt_tokens, r.usage.completion_tokens,
+                r.difficulty, r.error,
             ]
             for r in report.results
         ),
@@ -490,7 +478,7 @@ def write_stratified_csv(rows: Sequence[StratumRow], path: str | Path) -> None:
     _write_csv(
         path,
         ["difficulty", "mode", "correct", "incorrect", "accuracy_pct"],
-        ([r.difficulty.value, r.mode, r.correct, r.incorrect, r.accuracy_pct] for r in rows),
+        ([r.difficulty, r.mode, r.correct, r.incorrect, r.accuracy_pct] for r in rows),
     )
 
 

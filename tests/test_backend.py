@@ -1,4 +1,5 @@
 import json
+import socket
 import sys
 import threading
 import time
@@ -18,6 +19,7 @@ from dualthink.errors import (
     BackendError,
     BackendExhausted,
     BackendHTTPError,
+    BackendTimeout,
     ConfigError,
 )
 from dualthink.types import TokenUsage
@@ -400,6 +402,51 @@ def test_http_gives_up_after_max_attempts(http_stub):
     with pytest.raises(BackendExhausted):
         backend.complete(ChatRequest(system_text="s", user_text="u"))
     assert len(script.seen) == 3
+
+
+def _loopback_socket(listen):
+    """A TCP socket bound to a free loopback port; one that does not listen
+    refuses every connection."""
+    sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    sock.bind(("127.0.0.1", 0))
+    if listen:
+        sock.listen(2)
+    return sock
+
+
+def test_http_server_that_never_replies_times_out_on_every_attempt(caplog):
+    # The kernel accepts both connections into the backlog; no reply comes.
+    sleeps = []
+    with _loopback_socket(listen=True) as sock:
+        backend = HttpChatBackend(
+            endpoint=f"http://127.0.0.1:{sock.getsockname()[1]}", model="m1", timeout=0.2,
+            retry=RetryPolicy(max_attempts=2, backoff_base=0.25), sleep=sleeps.append,
+        )
+        with caplog.at_level("WARNING", logger="dualthink.backend"):
+            with pytest.raises(BackendTimeout) as info:
+                backend.complete(ChatRequest(system_text="s", user_text="u"))
+    assert str(info.value) == "request timed out after 0.2s"
+    assert sleeps == [0.25]
+    assert [r.getMessage() for r in caplog.records] == [
+        "attempt 1/2: request timed out after 0.2s",
+        "attempt 2/2: request timed out after 0.2s",
+    ]
+
+
+def test_http_port_with_no_listener_is_a_transport_error_on_every_attempt(caplog):
+    with _loopback_socket(listen=False) as sock:
+        backend = HttpChatBackend(
+            endpoint=f"http://127.0.0.1:{sock.getsockname()[1]}", model="m1",
+            retry=RetryPolicy(max_attempts=2), sleep=lambda s: None,
+        )
+        with caplog.at_level("WARNING", logger="dualthink.backend"):
+            with pytest.raises(BackendExhausted) as info:
+                backend.complete(ChatRequest(system_text="s", user_text="u"))
+    assert str(info.value).startswith("gave up after 2 attempts: transport error: ")
+    messages = [r.getMessage() for r in caplog.records]
+    assert len(messages) == 2
+    for attempt, message in enumerate(messages, start=1):
+        assert message.startswith(f"attempt {attempt}/2: transport error: ")
 
 
 def test_http_client_errors_fail_immediately(http_stub):

@@ -684,6 +684,19 @@ def test_an_output_path_under_a_regular_file_exits_two(tmp_path, capsys, command
     assert "Traceback" not in err
 
 
+def test_ask_finds_an_unwritable_trace_path_before_any_model_call(tmp_path, capsys):
+    # An empty script fails the first call with exit 1, so exit 2 shows that
+    # the trace path was checked before it.
+    script = write_script(tmp_path / "s.json", [])
+    (tmp_path / "F").write_text("", encoding="utf-8")
+    trace = tmp_path / "F" / "t.json"
+    argv = ["ask", "Hm?", "--preset", "System 1", "--backend", "scripted", "--script", script]
+    assert main(argv + ["--trace", str(trace)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(trace) in err
+    assert "Traceback" not in err
+
+
 # --- trace show ----------------------------------------------------------------------
 
 

@@ -31,6 +31,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "bench"), str(ROOT / "src")]
 
@@ -70,7 +72,20 @@ class OracleBackend:
         return Completion(reply.text, TokenUsage(reply.prompt_tokens, reply.completion_tokens))
 
 
-def run_sweep(work: Path) -> Path:
+class NoCalls:
+    """A backend for a sweep that has nothing left to answer."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def complete(self, request):
+        self.calls += 1
+        raise AssertionError("a finished sweep made a model call")
+
+
+def run_sweep(work: Path, parallelism: int = 1, ordered: bool = False, backend=None) -> Path:
+    """The sweep into ``work / "runs"``, by the oracle backend unless another
+    is given; ``ordered`` turns off the stage memo and the hypothesis thread."""
     write_corpus(work / "corpus.jsonl", 60, SEED)
     model = StandIn(SEED, 0.0, 0.0)
     write_dataset(work / "dataset.jsonl", 20, model)
@@ -80,8 +95,12 @@ def run_sweep(work: Path) -> Path:
         (DUAL_PRESET_NAME, preset(DUAL_PRESET_NAME)),
         (FEWER_DOCS, dataclasses.replace(preset("System 2 (Full)"), k_retrieval=3)),
     ]
-    backend = OracleBackend(model, {q.id: q.text for q in questions})
-    ablation_sweep(questions, backend, index, presets, out_dir=work / "runs")
+    if backend is None:
+        backend = OracleBackend(model, {q.id: q.text for q in questions})
+        backend.ordered = ordered
+    ablation_sweep(
+        questions, backend, index, presets, out_dir=work / "runs", parallelism=parallelism
+    )
     return work / "runs"
 
 
@@ -146,6 +165,23 @@ def test_the_sweep_covers_retries_a_fail_open_and_an_error(tmp_path):
     assert errored[0]["usage"]["prompt_tokens"] > 0
     got = digests(runs)
     assert len(got) == 10 * (4 + 20)
+    _assert_committed(got)
+
+
+@pytest.mark.parametrize("parallelism", [1, 4])
+@pytest.mark.parametrize("ordered", [False, True], ids=["memo", "ordered"])
+def test_every_run_mode_gives_the_committed_digests_and_resumes_without_a_call(
+    tmp_path, parallelism, ordered
+):
+    runs = run_sweep(tmp_path, parallelism, ordered)
+    _assert_committed(digests(runs))
+    refusing = NoCalls()
+    run_sweep(tmp_path, parallelism, backend=refusing)
+    assert refusing.calls == 0
+    _assert_committed(digests(runs))
+
+
+def _assert_committed(got: dict[str, str]) -> None:
     expected = json.loads(DIGESTS.read_text(encoding="utf-8"))
     changed = sorted(k for k in expected.keys() | got.keys() if expected.get(k) != got.get(k))
     assert not changed, f"{len(changed)} normalized run files differ, e.g. {changed[:5]}"

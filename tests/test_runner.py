@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import errno
 import itertools
 import json
 import os
@@ -16,6 +17,7 @@ import pytest
 
 import dualthink.engine as engine_module
 from dualthink.backend import Completion, ScriptEntry, ScriptedBackend
+from dualthink.dataset import write_atomic
 from dualthink.errors import BackendError, ConfigError, FormatError
 from dualthink.presets import ablation_presets, preset
 from dualthink.retrieval import BM25Index, Doc
@@ -29,7 +31,6 @@ from dualthink.runner import (
     trace_file_name,
     write_ablation_csv,
     write_accuracy_vs_tokens_csv,
-    write_atomic,
 )
 from dualthink.types import (
     Agent,
@@ -395,25 +396,27 @@ def test_write_atomic_replaces_whole_files_and_leaves_no_temp(tmp_path, monkeypa
     def crash(src, dst):
         raise OSError("crash before rename")
 
-    monkeypatch.setattr("dualthink.runner.os.replace", crash)
+    monkeypatch.setattr("dualthink.dataset.os.replace", crash)
     with pytest.raises(OSError):
         write_atomic(path, "third")
     assert path.read_bytes() == b"second\r\n"
     assert not any(p.name.endswith(".json") and p != path for p in tmp_path.iterdir())
 
 
-def test_a_failed_write_keeps_the_old_file_and_leaves_no_temp(tmp_path, monkeypatch):
+def test_a_failed_write_keeps_the_old_file_and_leaves_no_temp(tmp_path):
+    # A file-size limit makes the write fail with EFBIG partway through the
+    # new text (the interpreter ignores SIGXFSZ), as a full disk would.
+    resource = pytest.importorskip("resource")
     path = tmp_path / "report.json"
     write_atomic(path, "old")
-    write_text = Path.write_text
-
-    def disk_full(self, text, *args, **kwargs):
-        write_text(self, text[: len(text) // 2], *args, **kwargs)
-        raise OSError(28, "No space left on device")
-
-    monkeypatch.setattr(Path, "write_text", disk_full)
-    with pytest.raises(OSError, match="No space left"):
-        write_atomic(path, "new text that does not fit")
+    soft, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+    resource.setrlimit(resource.RLIMIT_FSIZE, (1000, hard))
+    try:
+        with pytest.raises(OSError) as info:
+            write_atomic(path, "new text that does not fit " * 4000)
+    finally:
+        resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
+    assert info.value.errno == errno.EFBIG
     assert path.read_text(encoding="utf-8") == "old"
     assert list(tmp_path.iterdir()) == [path]
 
